@@ -2,7 +2,9 @@
 
 Everything runs over the rationals: Chern characters live in a truncated
 polynomial ring, Euler characteristics come from the Todd pairing, root
-counts come from Sturm chains, and no floating point appears anywhere.
+counts come from the discriminant and derivative signs of the integer chi
+cubic (with exact Sturm chains as the independent check), and no floating
+point appears anywhere.
 The ``verify`` module replays the full checklist of published reference
 values; the ``cli`` module exposes the same machinery on the command line.
 """
@@ -18,6 +20,7 @@ from .chern import (
     chi_curve_form,
     chi_endomorphisms,
     chi_endomorphisms_closed_form,
+    chi_numerators,
     chi_polynomial,
     dual,
     euler_characteristic,
@@ -45,6 +48,7 @@ from .curvelink import (
     thooft_threshold,
 )
 from .errors import (
+    ConsistencyError,
     DomainError,
     MissingHypothesis,
     MissingRows,
@@ -83,6 +87,7 @@ __all__ = [
     "ChiPolynomial",
     "ChowClass",
     "CohomTable",
+    "ConsistencyError",
     "CubicSignAnalysis",
     "CurveInvariants",
     "DerivationStep",
@@ -113,6 +118,7 @@ __all__ = [
     "chi_endomorphisms_closed_form",
     "chi_f1_charge",
     "chi_ideal_sheaf",
+    "chi_numerators",
     "chi_polynomial",
     "curve_to_bundle",
     "degree",

@@ -9,6 +9,7 @@ checklist insist the two routes coincide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,10 +103,32 @@ def twist(d: ChernData, k: int) -> ChernData:
     return chern_from_character(mul(chern_character(d), exp_line(k)), d.rank)
 
 
+def chi_numerators(d: ChernData) -> tuple[tuple[int, int, int, int], int]:
+    """The ring-route chi cubic as integers: chi(F(m)) = N(m) / D.
+
+    One Chow-ring product y = ch(F) * td(P^3) gives every twist at once,
+    because pairing with exp(mH) only reweights its components:
+
+        chi(F(m)) = y3 + y2*m + y1*m^2/2 + y0*m^3/6
+
+    Returns the ascending integer numerators N = (n0, n1, n2, n3) and the
+    positive common denominator D, the lcm of the four coefficient
+    denominators (a divisor of 6 for the Todd class of P^3).
+    """
+    y = mul(chern_character(d), todd_p3())
+    coeffs = (y.a3, y.a2, y.a1 / 2, y.a0 / 6)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
 def euler_characteristic(d: ChernData, m: int) -> int:
-    """chi(F(m)) through the Chow ring: degree of ch(F(m)) paired with Todd."""
-    chi = degree(mul(mul(chern_character(d), exp_line(m)), todd_p3()))
-    return _as_int(chi, NonIntegralChi, f"chi at twist {m}")
+    """chi(F(m)) through the Chow ring: the cubic of chi_numerators at m."""
+    (n0, n1, n2, n3), den = chi_numerators(d)
+    value = ((n3 * m + n2) * m + n1) * m + n0
+    chi, rest = divmod(value, den)
+    if rest:
+        raise NonIntegralChi(f"chi at twist {m} is not an integer: {Fraction(value, den)}")
+    return chi
 
 
 def chi_polynomial(d: ChernData) -> ChiPolynomial:

@@ -18,9 +18,9 @@ import math
 import sys
 from typing import Sequence
 
-from .chern import ChernData, euler_characteristic, validate_parity
+from .chern import ChernData, euler_characteristic
 from .cohomtable import natural_table
-from .errors import DomainError, NotNaturalizable, ParityViolation, ToolkitError
+from .errors import DomainError, NotNaturalizable, ToolkitError
 from .spectrum import enumerate_spectra, h1_from_spectrum, h2_from_spectrum, is_instanton_spectrum
 from .verify import report_json_dict, report_text, run_all
 
@@ -65,11 +65,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     _check_twist(args.t_max, "t_max")
     if args.t_min > args.t_max:
         raise DomainError(f"empty twist window: t_min = {args.t_min} exceeds t_max = {args.t_max}")
-    if data.rank == 3 and not validate_parity(data):
-        raise ParityViolation(
-            f"classes ({data.rank}, {data.c1}, {data.c2}, {data.c3}) violate the parity "
-            "constraint c3 = c1*c2 mod 2"
-        )
     tbl = natural_table(data, args.t_min, args.t_max)
     if args.format == "json":
         _print_json(tbl.to_json_dict())

@@ -8,19 +8,30 @@ sign-change root of the cubic, and the populated entry is |chi(t)|.  The
 walk can only reach index 0 if the cubic has three sign-change roots, so
 cubics with fewer are rejected.
 
-Everything is exact: root positions are never approximated, only compared
-against the requested integer twists.
+The kernel works on the integer cubic N = D*chi of ``chi_numerators``,
+built once per class.  Three sign-change roots means three simple real
+roots, which is exactly a positive discriminant of N.  With roots
+r1 < r2 < r3 interlaced with the critical points, the signs of N, N' and
+N'' at a twist say which gap it lies in (real-root counting as in Basu,
+Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2):
+
+    N < 0:  below r1 (N' > 0, N'' <= 0)  -> index 3, else between r2, r3 -> 1
+    N > 0:  above r3 (N' > 0, N'' > 0)   -> index 0, else between r1, r2 -> 2
+
+Everything is integer arithmetic: root positions are never approximated.
+``cubics.CubicSignAnalysis`` answers the same questions with an exact Sturm
+chain and serves as the independent oracle in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
-from .chern import ChernData, chern_from_character, chi_polynomial, dual, euler_characteristic
+from .chern import ChernData, chern_from_character, chi_numerators, dual, validate_parity
 from .chowring import ONE, exp_line
-from .cubics import CubicSignAnalysis
-from .errors import DomainError, MissingRows, NotNaturalizable
+from .errors import DomainError, MissingRows, NonIntegralChi, NotNaturalizable, ParityViolation
 
 Row = tuple[int, int, int, int]
 
@@ -76,30 +87,50 @@ class CohomTable:
 def natural_table(d: ChernData, t_min: int, t_max: int) -> CohomTable:
     """The unique candidate table over [t_min, t_max] under natural cohomology.
 
-    Raises NotNaturalizable when the chi cubic has fewer than three
-    sign-change roots: the index walk then cannot descend from the h^3
-    region to the h^0 region, so no sheaf-style table exists at all.
+    Raises ParityViolation for rank-3 classes with c3 - c1*c2 odd, and
+    NotNaturalizable when the chi cubic has fewer than three sign-change
+    roots: the index walk then cannot descend from the h^3 region to the
+    h^0 region, so no sheaf-style table exists at all.
     """
     if t_min > t_max:
         raise DomainError(f"empty twist range: {t_min} > {t_max}")
-    p = chi_polynomial(d)
-    analysis = CubicSignAnalysis(p.coeffs)
-    if analysis.sign_changes < 3:
+    if d.rank == 3 and not validate_parity(d):
+        raise ParityViolation(
+            f"classes ({d.rank}, {d.c1}, {d.c2}, {d.c3}) violate the parity "
+            "constraint c3 = c1*c2 mod 2"
+        )
+    (n0, n1, n2, n3), den = chi_numerators(d)
+    disc = (
+        18 * n3 * n2 * n1 * n0 - 4 * n2 ** 3 * n0 + n2 * n2 * n1 * n1
+        - 4 * n3 * n1 ** 3 - 27 * n3 * n3 * n0 * n0
+    )
+    if disc <= 0:
+        # A real cubic with a non-positive discriminant has one simple real
+        # root, or a double root beside a simple one, or a triple root:
+        # one sign change in every case.
         raise NotNaturalizable(
-            f"chi cubic of {d} has {analysis.sign_changes} sign change(s); "
+            f"chi cubic of {d} has 1 sign change(s); "
             "the index walk from h^3 to h^0 needs 3"
         )
     rows: dict[int, Row] = {}
     for t in range(t_min, t_max + 1):
-        chi = euler_characteristic(d, t)
-        if chi == 0:
+        n_t = ((n3 * t + n2) * t + n1) * t + n0
+        if n_t == 0:
             rows[t] = (0, 0, 0, 0)
             continue
-        index = 3 - analysis.odd_roots_below(t)
+        chi, rest = divmod(n_t, den)
+        if rest:
+            raise NonIntegralChi(f"chi at twist {t} is not an integer: {Fraction(n_t, den)}")
+        rising = (3 * n3 * t + 2 * n2) * t + n1 > 0  # N'(t) > 0
+        convex = 3 * n3 * t + n2 > 0  # N''(t) > 0
+        if n_t < 0:
+            index = 3 if rising and not convex else 1
+        else:
+            index = 0 if rising and convex else 2
         value = chi if index % 2 == 0 else -chi
         if value < 0:
-            # Unreachable when the root count is exact; kept as a guard
-            # against a miscounting bug ever reintroducing sign errors.
+            # Unreachable when the index rule is exact; kept as a guard
+            # against a sign bug ever reintroducing negative dimensions.
             raise NotNaturalizable(f"negative dimension {value} at twist {t}", twist=t)
         row = [0, 0, 0, 0]
         row[index] = value

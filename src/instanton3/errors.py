@@ -41,5 +41,9 @@ class MissingRows(ToolkitError):
     """A cohomology table lacks the twists a check needs to read."""
 
 
+class ConsistencyError(ToolkitError):
+    """Two independent routes to the same quantity disagree, so a transcription is corrupted."""
+
+
 class MissingHypothesis(ToolkitError):
     """A conclusion was requested without asserting a hypothesis it depends on."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .chern import ChernData, chi_endomorphisms, euler_characteristic
 from .cohomtable import natural_table
-from .errors import MissingHypothesis, RankUnsupported
+from .errors import ConsistencyError, MissingHypothesis, RankUnsupported
 
 #: Weights of (c1^2, c2, 1) in the Ext-difference closed form for rank 3.
 EXT_DIFF_COEFFS = (-4, 12, -8)
@@ -78,7 +78,8 @@ def ext_difference(d: ChernData) -> int:
         raise RankUnsupported(f"the Ext difference closed form needs rank 3, got {d.rank}")
     a, b, c = EXT_DIFF_COEFFS
     value = a * d.c1 ** 2 + b * d.c2 + c
-    assert value == 1 - chi_endomorphisms(d), "Ext-difference closed form disagrees with 1 - chi(End)"
+    if value != 1 - chi_endomorphisms(d):
+        raise ConsistencyError("Ext-difference closed form disagrees with 1 - chi(End)")
     return value
 
 
@@ -126,7 +127,8 @@ def charge2_dimension_chain() -> ModuliReport:
     pair_space = CHANG_MODULI_DIM + REFLEXIVE_EXT_DIM
     dimension = pair_space - fiber
     diff = ext_difference(d)
-    assert dimension == diff, "construction chain disagrees with the Ext-difference route"
+    if dimension != diff:
+        raise ConsistencyError("construction chain disagrees with the Ext-difference route")
     return ModuliReport(
         chern=d,
         chi_end=chi_endomorphisms(d),

@@ -1,9 +1,10 @@
 """Chern arithmetic: characters, twists, duals, and the two chi routes."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from instanton3.binomials import binom3, binom3_poly
@@ -15,6 +16,7 @@ from instanton3.chern import (
     chi_curve_form,
     chi_endomorphisms,
     chi_endomorphisms_closed_form,
+    chi_numerators,
     chi_polynomial,
     dual,
     euler_characteristic,
@@ -165,6 +167,47 @@ def test_chi_of_line_bundles_is_the_binomial(m):
 def test_chi_rejects_parity_violations():
     with pytest.raises(NonIntegralChi):
         euler_characteristic(ChernData(3, 0, 2, 1), 0)
+
+
+wide_chern_data = st.builds(
+    ChernData,
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-(10 ** 4), max_value=10 ** 4),
+    st.integers(min_value=-(10 ** 4), max_value=10 ** 4),
+)
+wide_twists = st.integers(min_value=-100, max_value=100)
+
+
+def test_chi_numerators_pinned_values():
+    assert chi_numerators(CHARGE2) == ((-2, 7, 6, 1), 2)
+    assert chi_numerators(ChernData(1, 0, 0, 0)) == ((6, 11, 6, 1), 6)
+    assert chi_numerators(ChernData(6, 0, -1, 0)) == ((8, 12, 6, 1), 1)
+
+
+@given(wide_chern_data)
+@example(ChernData(3, 0, 10 ** 30, 0))
+@example(ChernData(4, -7, -(10 ** 25), 10 ** 40 + 1))
+def test_chi_numerators_are_the_chi_cubic_in_lowest_terms(d):
+    n, den = chi_numerators(d)
+    assert all(isinstance(c, int) for c in (*n, den))
+    assert tuple(Fraction(c, den) for c in n) == chi_polynomial(d).coeffs
+    assert 6 % den == 0
+    assert math.gcd(den, *n) == 1
+
+
+@given(wide_chern_data, wide_twists)
+@example(ChernData(3, 0, 10 ** 30, 0), 100)
+@example(ChernData(3, 0, 10 ** 30, 1), -100)
+@example(ChernData(2, 3, -(10 ** 20), 5), 7)
+def test_ring_route_matches_the_two_product_formula(d, m):
+    chi = degree(mul(mul(chern_character(d), exp_line(m)), todd_p3()))
+    if chi.denominator == 1:
+        assert euler_characteristic(d, m) == chi
+    else:
+        with pytest.raises(NonIntegralChi) as excinfo:
+            euler_characteristic(d, m)
+        assert str(excinfo.value) == f"chi at twist {m} is not an integer: {chi}"
 
 
 def test_chi_polynomial_of_charge2_type():

@@ -75,7 +75,14 @@ def test_table_json(capsys):
 
 
 def test_table_parity_violation_is_usage_error(capsys):
-    rc, _, err = run_cli(capsys, "table", "3", "0", "2", "1", "-5", "1")
+    rc, out, err = run_cli(capsys, "table", "3", "0", "2", "1", "-5", "1")
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: classes (3, 0, 2, 1) violate the parity constraint c3 = c1*c2 mod 2\n"
+
+
+def test_table_parity_is_checked_before_naturalizability(capsys):
+    # (3, 0, -5, 1) also has a one-sign-change cubic; parity decides first.
+    rc, _, err = run_cli(capsys, "table", "3", "0", "-5", "1", "-3", "1")
     assert rc == cli.EXIT_USAGE
     assert "parity" in err
 
@@ -135,6 +142,16 @@ def test_verify_paper_passes_on_a_clean_build(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS ") for line in lines[:-1])
     assert lines[-1] == "49 claims: 49 passed, 0 failed"
+
+
+def test_verify_paper_passes_under_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "instanton3", "verify-paper"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == cli.EXIT_OK
+    assert proc.stdout.splitlines()[-1] == "49 claims: 49 passed, 0 failed"
 
 
 def test_verify_paper_json(capsys):

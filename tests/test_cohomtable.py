@@ -1,11 +1,12 @@
 """Natural-cohomology tables: the index walk, monads, and Serre symmetry."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from instanton3.binomials import binom3
-from instanton3.chern import ChernData, euler_characteristic
+from instanton3.chern import ChernData, chern_character, chi_polynomial, euler_characteristic, validate_parity
+from instanton3.chowring import degree, exp_line, mul, todd_p3
 from instanton3.cohomtable import (
     CohomTable,
     MonadType,
@@ -14,7 +15,8 @@ from instanton3.cohomtable import (
     natural_table,
     serre_symmetry_check,
 )
-from instanton3.errors import DomainError, MissingRows, NotNaturalizable
+from instanton3.cubics import CubicSignAnalysis
+from instanton3.errors import DomainError, MissingRows, NonIntegralChi, NotNaturalizable, ParityViolation
 
 CHARGE2 = ChernData(3, 0, 2, 0)
 
@@ -188,3 +190,100 @@ def test_serre_symmetry_across_the_charge_family(n):
 
 def test_serre_symmetry_with_nonzero_c1():
     assert serre_symmetry_check(ChernData(3, 3, 5, 3), -9, 5)
+
+
+# The integer kernel against the Sturm oracle and the two-product ring route.
+
+
+def reference_outcome(d, t_min, t_max):
+    """What natural_table must do, from the routes the integer kernel replaced.
+
+    The index walk counts roots with a Sturm chain on the transcribed cubic,
+    and each chi is the degree of ch(F) * exp(tH) * td(P^3), two ring
+    products per twist.  Returns the exception type and its message, or the
+    rows.
+    """
+    if t_min > t_max:
+        return DomainError, f"empty twist range: {t_min} > {t_max}"
+    if d.rank == 3 and not validate_parity(d):
+        return ParityViolation, (
+            f"classes ({d.rank}, {d.c1}, {d.c2}, {d.c3}) violate the parity constraint c3 = c1*c2 mod 2"
+        )
+    analysis = CubicSignAnalysis(chi_polynomial(d).coeffs)
+    if analysis.sign_changes < 3:
+        return NotNaturalizable, (
+            f"chi cubic of {d} has {analysis.sign_changes} sign change(s); the index walk from h^3 to h^0 needs 3"
+        )
+    rows = {}
+    for t in range(t_min, t_max + 1):
+        chi = degree(mul(mul(chern_character(d), exp_line(t)), todd_p3()))
+        if chi.denominator != 1:
+            return NonIntegralChi, f"chi at twist {t} is not an integer: {chi}"
+        row = [0, 0, 0, 0]
+        if chi:
+            index = 3 - analysis.odd_roots_below(t)
+            row[index] = int(chi) if index % 2 == 0 else -int(chi)
+            assert row[index] > 0
+        rows[t] = tuple(row)
+    return None, rows
+
+
+def kernel_outcome(d, t_min, t_max):
+    try:
+        return None, dict(natural_table(d, t_min, t_max).rows)
+    except (DomainError, ParityViolation, NotNaturalizable, NonIntegralChi) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def wide_windows(draw):
+    """Classes of ranks 1-4 with big classes, and a window inside [-100, 100].
+
+    Half the time c3 is moved to the parity c3 = c1*c2 mod 2, which keeps
+    every chi integral, so full tables are drawn as often as errors.
+    """
+    rank = draw(st.integers(min_value=1, max_value=4))
+    c1 = draw(st.integers(min_value=-50, max_value=50))
+    c2 = draw(st.integers(min_value=-(10 ** 4), max_value=10 ** 4))
+    c3 = draw(st.integers(min_value=-(10 ** 4), max_value=10 ** 4))
+    if draw(st.booleans()):
+        c3 += (c3 - c1 * c2) % 2
+    t_min = draw(st.integers(min_value=-100, max_value=100))
+    t_max = draw(st.integers(min_value=t_min - 1, max_value=min(100, t_min + 40)))
+    return ChernData(rank, c1, c2, c3), t_min, t_max
+
+
+def test_big_charge_table_is_pinned():
+    c2 = 10 ** 30
+    rows = natural_table(ChernData(3, 0, c2, 0), -3, 1).rows
+    assert rows[-3] == (0, 0, c2, 0)
+    assert rows[-2] == (0, 0, 0, 0)
+    assert rows[-1] == (0, c2, 0, 0)
+    assert rows[1] == (0, 3 * c2 - 12, 0, 0)
+
+
+@given(wide_windows())
+@example((ChernData(3, 0, 10 ** 30, 0), -100, 100))
+@example((ChernData(3, 0, -(10 ** 30), 0), -100, 100))
+@example((ChernData(3, 7, 10 ** 30, 10 ** 30), -100, 100))
+@example((ChernData(1, 10 ** 9, 10 ** 20, 0), -100, 100))
+@example((ChernData(2, -1, 10 ** 25 + 3, 3), -100, 100))
+@example((ChernData(4, 2, 10 ** 18, 2 * 10 ** 18), -100, 100))
+@example((ChernData(3, 0, 2, 0), -100, 100))
+@example((ChernData(3, 0, 4, 0), -6, 2))
+@example((ChernData(3, -1, 0, 0), -5, 3))  # double root at -2
+@example((ChernData(6, 0, -1, 0), -5, 3))  # triple root at -2
+@example((ChernData(3, 0, 2, 1), 1, 0))  # empty window before parity
+@example((ChernData(3, 0, -5, 1), -3, 1))  # parity before naturalizability
+@example((ChernData(2, 0, 2, 1), -3, 3))  # no parity rule outside rank 3
+def test_kernel_matches_oracles(window):
+    assert kernel_outcome(*window) == reference_outcome(*window)
+
+
+@given(wide_windows())
+def test_not_naturalizable_exactly_below_three_sign_changes(window):
+    d, t_min, _ = window
+    if d.rank == 3 and not validate_parity(d):
+        d = ChernData(3, d.c1, d.c2, d.c3 + 1)
+    raised = kernel_outcome(d, t_min, t_min)[0] is NotNaturalizable
+    assert raised == (CubicSignAnalysis(chi_polynomial(d).coeffs).sign_changes < 3)

@@ -1,11 +1,16 @@
 """Moduli-dimension bookkeeping: the Ext difference and the construction chain."""
 
+import json
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from instanton3 import moduli
 from instanton3.chern import ChernData, chi_endomorphisms
-from instanton3.errors import MissingHypothesis, RankUnsupported
+from instanton3.errors import ConsistencyError, MissingHypothesis, RankUnsupported
 from instanton3.moduli import (
     DerivationStep,
     ModuliReport,
@@ -104,3 +109,40 @@ def test_report_json_shape():
     assert payload["hypotheses"] == ["stable", "ext2_vanishes"]
     assert [step["value"] for step in payload["derivation"]] == [19, 3, 22, 6, 16]
     assert all(step["quantity"] and step["provenance"] for step in payload["derivation"])
+
+
+# The two cross-checks raise, so they survive python -O.
+
+
+def test_corrupted_ext_coefficients_raise_consistency_error(monkeypatch):
+    monkeypatch.setattr(moduli, "EXT_DIFF_COEFFS", (-4, 12, -7))
+    with pytest.raises(ConsistencyError, match="disagrees with 1 - chi\\(End\\)"):
+        ext_difference(CHARGE2)
+
+
+def test_corrupted_quoted_dimension_breaks_the_chain(monkeypatch):
+    monkeypatch.setattr(moduli, "CHANG_MODULI_DIM", 18)
+    with pytest.raises(ConsistencyError, match="construction chain disagrees"):
+        charge2_dimension_chain()
+
+
+OPTIMIZED_PROBE = """
+import json, sys
+from instanton3 import ChernData, ConsistencyError, ext_difference, moduli
+moduli.EXT_DIFF_COEFFS = (-4, 12, -7)
+try:
+    ext_difference(ChernData(3, 0, 2, 0))
+    outcome = "returned"
+except ConsistencyError as exc:
+    outcome = str(exc)
+print(json.dumps({"optimize": sys.flags.optimize, "outcome": outcome}))
+"""
+
+
+def test_ext_difference_cross_check_survives_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "optimize": 1,
+        "outcome": "Ext-difference closed form disagrees with 1 - chi(End)",
+    }

@@ -149,7 +149,59 @@ def test_fraction_rendering_in_json():
     assert payload["claims"][0]["pass"] is False
 
 
-# Fault injection: corrupting any listed constant must flip the checklist.
+# Fault injection: corrupting any listed constant must flip the checklist,
+# and at least the claims pinned here must be among the ones it flips.  The
+# chi transcription mutants are caught by the closed-form sweep alone, so a
+# sweep that stops comparing some twists or classes shows up by name.
+
+_CHI_ROUTES = {"chi-closed-form-vs-ring"}
+_TODD_CLAIMS = {
+    "chi-closed-form-vs-ring",
+    "chi-curve-form-vs-riemann-roch",
+    "chi-line-bundles",
+    "chi-twist1-charge2",
+    "chi-minus2-charge2",
+}
+_EXT_DIFF_CONSTANT_CLAIMS = {
+    "chain-matches-ext-difference",
+    "dimension-chain-charge2",
+    "ext-difference-charge2",
+    "ext-difference-consistency",
+    "ext-difference-family",
+    "smooth-point-dimension-charge2",
+}
+_CHAIN_CLAIMS = {"chain-matches-ext-difference", "dimension-chain-charge2"}
+
+MUST_FAIL = {
+    "Todd H^2 coefficient 11/6 -> 11/5": _TODD_CLAIMS,
+    "Todd H coefficient 2 -> 3": _TODD_CLAIMS,
+    "chi transcription linear weight 2 -> 3": _CHI_ROUTES,
+    "chi transcription quadratic weight 11/6 -> 11/5": _CHI_ROUTES,
+    "chi(End) constant term 9 -> 8": {"chi-endomorphisms-closed-form"},
+    "Ext-difference constant term -8 -> -7": _EXT_DIFF_CONSTANT_CLAIMS,
+    "Ext-difference c1^2 weight -4 -> 4": {"ext-difference-consistency"},
+    "quoted reflexive moduli dimension 19 -> 18": _CHAIN_CLAIMS,
+    "quoted extension dimension 3 -> 2": _CHAIN_CLAIMS,
+    "genus relation c2 weight -4 -> 4": {
+        "chi-curve-form-vs-riemann-roch",
+        "curve-family-degrees",
+        "curve-quintic-charge2",
+        "curve-roundtrip-quintic",
+    },
+    "determinant twist 3 -> 2": {"normal-bundle-twist-degrees"},
+    "spectrum twist shift 1 -> 2": {
+        "spectrum-elimination-charge2",
+        "spectrum-h1-instanton-minus2",
+        "spectrum-h1-split-minus1",
+        "spectrum-h1-split-minus2",
+        "spectrum-h2-split-minus2",
+    },
+}
+
+
+def test_every_mutation_target_has_pinned_claims():
+    assert set(MUST_FAIL) == {note for *_, note in MUTATION_TARGETS}
+    assert all(ids <= REQUIRED_CLAIM_IDS for ids in MUST_FAIL.values())
 
 
 @pytest.mark.parametrize(
@@ -161,8 +213,10 @@ def test_single_constant_corruption_is_detected(monkeypatch, module_name, attr, 
     module = importlib.import_module(f"instanton3.{module_name}")
     assert getattr(module, attr) != mutant, "mutant must differ from the real constant"
     monkeypatch.setattr(module, attr, mutant)
-    failed = [r.claim.id for r in run_all() if not r.ok]
+    failed = {r.claim.id for r in run_all() if not r.ok}
     assert failed, f"corrupting {module_name}.{attr} went undetected ({note})"
+    missed = MUST_FAIL[note] - failed
+    assert not missed, f"corrupting {module_name}.{attr} ({note}) left pinned claims passing: {sorted(missed)}"
 
 
 def test_checklist_recovers_after_mutations():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .binomials import binom3, binom3_poly
 from .chowring import ChowClass, degree, exp_line, mul, todd_p3
@@ -52,8 +53,10 @@ class ChiPolynomial:
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     def __call__(self, m: int) -> Fraction:
-        c0, c1, c2, c3 = self.coeffs
-        return ((c3 * m + c2) * m + c1) * m + c0
+        # Integer Horner over the common denominator: one Fraction, not six.
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        n0, n1, n2, n3 = (c.numerator * (den // c.denominator) for c in self.coeffs)
+        return Fraction(((n3 * m + n2) * m + n1) * m + n0, den)
 
     @property
     def leading(self) -> Fraction:
@@ -121,14 +124,22 @@ def chi_numerators(d: ChernData) -> tuple[tuple[int, int, int, int], int]:
     return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
 
+def chi_values(d: ChernData, twists: Iterable[int]) -> list[int]:
+    """chi(F(m)) at each twist m from one ring product; NonIntegralChi at the first non-integer."""
+    (n0, n1, n2, n3), den = chi_numerators(d)
+    values = []
+    for m in twists:
+        value = ((n3 * m + n2) * m + n1) * m + n0
+        chi, rest = divmod(value, den)
+        if rest:
+            raise NonIntegralChi(f"chi at twist {m} is not an integer: {Fraction(value, den)}")
+        values.append(chi)
+    return values
+
+
 def euler_characteristic(d: ChernData, m: int) -> int:
     """chi(F(m)) through the Chow ring: the cubic of chi_numerators at m."""
-    (n0, n1, n2, n3), den = chi_numerators(d)
-    value = ((n3 * m + n2) * m + n1) * m + n0
-    chi, rest = divmod(value, den)
-    if rest:
-        raise NonIntegralChi(f"chi at twist {m} is not an integer: {Fraction(value, den)}")
-    return chi
+    return chi_values(d, (m,))[0]
 
 
 def chi_polynomial(d: ChernData) -> ChiPolynomial:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Sequence
 
 from .chern import ChernData, euler_characteristic
 from .cohomtable import natural_table
 from .errors import DomainError, NotNaturalizable, ToolkitError
-from .spectrum import enumerate_spectra, h1_from_spectrum, h2_from_spectrum, is_instanton_spectrum
+from .spectrum import MAX_SEARCH_SPACE, enumerate_spectra, h1_from_spectrum, h2_from_spectrum, is_instanton_spectrum
 from .verify import report_json_dict, report_text, run_all
 
 EXIT_OK = 0
@@ -31,8 +30,6 @@ EXIT_MODEL = 3
 
 #: Twist magnitudes past this produce tables nobody reads; refuse them.
 MAX_TWIST = 100
-#: Ceiling on the enumeration search space before filtering.
-MAX_SEARCH_SPACE = 1_000_000
 
 
 def _print_json(payload: dict) -> None:
@@ -78,11 +75,6 @@ def cmd_spectra(args: argparse.Namespace) -> int:
         raise DomainError(f"spectrum length must be positive, got {args.n}")
     if not 1 <= args.bound <= MAX_TWIST:
         raise DomainError(f"bound must be between 1 and {MAX_TWIST}, got {args.bound}")
-    if math.comb(2 * args.bound + args.n, args.n) > MAX_SEARCH_SPACE:
-        raise DomainError(
-            f"enumerating length-{args.n} spectra with bound {args.bound} exceeds the "
-            f"search-space ceiling of {MAX_SEARCH_SPACE} candidates"
-        )
     found = enumerate_spectra(args.n, args.bound)
     entries = []
     for sp in found:

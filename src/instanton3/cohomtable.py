@@ -64,6 +64,9 @@ class CohomTable:
     chern: ChernData
     rows: Mapping[int, Row]
 
+    def __hash__(self) -> int:
+        return hash((self.chern, tuple(sorted(self.rows.items()))))
+
     def row(self, t: int) -> Row:
         if t not in self.rows:
             raise MissingRows(f"table for {self.chern} has no row at twist {t}")

@@ -9,6 +9,7 @@ on which tuples occur for actual sheaves are out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -17,6 +18,9 @@ from .errors import DomainError, OutOfValidityRange
 #: The shift applied to each spectrum entry inside both cohomology formulas:
 #: the P^1 line-bundle degree read off at twist l is k_i + l + TWIST_SHIFT.
 TWIST_SHIFT = 1
+
+#: Ceiling on the enumeration search space before filtering.
+MAX_SEARCH_SPACE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -99,12 +103,17 @@ def enumerate_spectra(n: int, bound: int) -> list[Spectrum]:
     """All nondecreasing integer n-tuples with zero sum and entries in [-bound, bound].
 
     Returned in lexicographic order.  Only the stated arithmetic constraints
-    are imposed.
+    are imposed; boxes of more than MAX_SEARCH_SPACE candidates are refused.
     """
     if n < 1:
         raise DomainError(f"spectrum length must be positive, got {n}")
     if bound < 1:
         raise DomainError(f"entry bound must be positive, got {bound}")
+    if math.comb(2 * bound + n, n) > MAX_SEARCH_SPACE:
+        raise DomainError(
+            f"enumerating length-{n} spectra with bound {bound} exceeds the "
+            f"search-space ceiling of {MAX_SEARCH_SPACE} candidates"
+        )
     return [
         Spectrum(ks)
         for ks in combinations_with_replacement(range(-bound, bound + 1), n)

@@ -25,6 +25,7 @@ from .chern import (
     chi_endomorphisms_closed_form,
     chi_polynomial,
     chi_curve_form,
+    chi_values,
     dual,
     euler_characteristic,
     twist,
@@ -90,14 +91,12 @@ _MIXED_RANK_SAMPLES = _RANK3_SAMPLES + (
     ChernData(2, 0, 2, 0),
 )
 
+_CHI_SWEEP_TWISTS = range(-8, 9)
+
 
 def _line_bundle_chi_mismatches() -> list:
-    line = ChernData(1, 0, 0, 0)
-    return [
-        (m, euler_characteristic(line, m))
-        for m in range(0, 7)
-        if euler_characteristic(line, m) != (m + 3) * (m + 2) * (m + 1) // 6
-    ]
+    chis = chi_values(ChernData(1, 0, 0, 0), range(0, 7))
+    return [(m, chi) for m, chi in enumerate(chis) if chi != (m + 3) * (m + 2) * (m + 1) // 6]
 
 
 def _twist_family_mismatches() -> list:
@@ -129,8 +128,8 @@ def _chi_transcription_mismatches() -> list:
     bad = []
     for d in _MIXED_RANK_SAMPLES:
         p = chi_polynomial(d)
-        for m in range(-8, 9):
-            if p(m) != euler_characteristic(d, m):
+        for m, chi in zip(_CHI_SWEEP_TWISTS, chi_values(d, _CHI_SWEEP_TWISTS)):
+            if p(m) != chi:
                 bad.append((d, m))
     return bad
 
@@ -139,8 +138,8 @@ def _chi_curve_form_mismatches() -> list:
     bad = []
     for c1, dd, g in ((3, 5, 0), (0, 2, -3), (-1, 4, 1), (2, 3, 0)):
         bundle = curve_to_bundle(CurveInvariants(dd, g), c1)
-        for m in range(-8, 9):
-            if chi_curve_form(c1, dd, g, m, signed_binomials=True) != euler_characteristic(bundle, m):
+        for m, chi in zip(_CHI_SWEEP_TWISTS, chi_values(bundle, _CHI_SWEEP_TWISTS)):
+            if chi_curve_form(c1, dd, g, m, signed_binomials=True) != chi:
                 bad.append((c1, dd, g, m))
     return bad
 

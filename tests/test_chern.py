@@ -18,6 +18,7 @@ from instanton3.chern import (
     chi_endomorphisms_closed_form,
     chi_numerators,
     chi_polynomial,
+    chi_values,
     dual,
     euler_characteristic,
     twist,
@@ -210,6 +211,34 @@ def test_ring_route_matches_the_two_product_formula(d, m):
         assert str(excinfo.value) == f"chi at twist {m} is not an integer: {chi}"
 
 
+@given(wide_chern_data, st.lists(wide_twists, max_size=12))
+@example(ChernData(3, 0, 10 ** 30, 0), [-100, 0, 100])
+@example(ChernData(3, 0, 10 ** 30, 1), [7, -100])
+def test_chi_values_match_euler_characteristic_and_the_two_product_route(d, ms):
+    ring = [degree(mul(mul(chern_character(d), exp_line(m)), todd_p3())) for m in ms]
+    bad = [m for m, chi in zip(ms, ring) if chi.denominator != 1]
+    if not bad:
+        assert chi_values(d, ms) == ring == [euler_characteristic(d, m) for m in ms]
+    else:
+        with pytest.raises(NonIntegralChi) as excinfo:
+            chi_values(d, ms)
+        assert str(excinfo.value) == f"chi at twist {bad[0]} is not an integer: {ring[ms.index(bad[0])]}"
+
+
+def test_chi_values_of_an_empty_and_a_pinned_window():
+    assert chi_values(CHARGE2, []) == []
+    assert chi_values(CHARGE2, range(-5, 2)) == [-6, 1, 2, 0, -2, -1, 6]
+
+
+def test_chi_values_raise_at_the_first_bad_twist():
+    violator = ChernData(3, 0, 2, 1)  # c3 - c1*c2 odd: chi is a half-integer at every twist
+    with pytest.raises(NonIntegralChi) as single:
+        euler_characteristic(violator, 4)
+    with pytest.raises(NonIntegralChi) as batch:
+        chi_values(violator, [4, -9, 0])
+    assert str(batch.value) == str(single.value) == "chi at twist 4 is not an integer: 187/2"
+
+
 def test_chi_polynomial_of_charge2_type():
     p = chi_polynomial(CHARGE2)
     assert p.coeffs == (-1, Fraction(7, 2), 3, Fraction(1, 2))
@@ -228,10 +257,20 @@ def test_chi_polynomial_leading_coefficient(d):
     assert chi_polynomial(d).leading == Fraction(d.rank, 6)
 
 
-@given(st.tuples(class_range, class_range, class_range, class_range), twists)
+@given(st.tuples(*[st.fractions(max_denominator=10 ** 6)] * 4), wide_twists)
 def test_chi_polynomial_call_is_plain_evaluation(coeffs, m):
-    p = ChiPolynomial(coeffs)
-    assert p(m) == sum(c * m ** i for i, c in enumerate(coeffs))
+    value = ChiPolynomial(coeffs)(m)
+    assert isinstance(value, Fraction)
+    assert value == sum(c * m ** i for i, c in enumerate(coeffs))
+
+
+@given(wide_chern_data, wide_twists)
+@example(ChernData(3, 0, 10 ** 30, 0), 100)
+@example(ChernData(4, -7, -(10 ** 25), 10 ** 40 + 1), -100)
+@example(ChernData(2, 10 ** 30 + 1, -(10 ** 30), 3), 37)
+def test_chi_polynomial_call_matches_fraction_horner_on_wide_classes(d, m):
+    c0, c1, c2, c3 = chi_polynomial(d).coeffs
+    assert chi_polynomial(d)(m) == ((c3 * m + c2) * m + c1) * m + c0
 
 
 @given(rank3_parity_data(), twists)

@@ -134,6 +134,12 @@ def test_spectra_argument_validation(capsys):
     rc, _, err = run_cli(capsys, "spectra", "12", "--bound", "100")
     assert rc == cli.EXIT_USAGE
     assert "search-space" in err
+    assert run_cli(capsys, "spectra", "8", "--bound", "100") == (
+        cli.EXIT_USAGE,
+        "",
+        "error: enumerating length-8 spectra with bound 100 exceeds the "
+        f"search-space ceiling of {cli.MAX_SEARCH_SPACE} candidates\n",
+    )
 
 
 def test_verify_paper_passes_on_a_clean_build(capsys):

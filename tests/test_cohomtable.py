@@ -114,6 +114,15 @@ def test_row_access_and_missing_rows():
         tbl.row(-3)
 
 
+def test_equal_tables_hash_equal():
+    forward = CohomTable(chern=CHARGE2, rows=dict(CHARGE2_ROWS))
+    backward = CohomTable(chern=CHARGE2, rows=dict(reversed(CHARGE2_ROWS.items())))
+    assert list(forward.rows) != list(backward.rows)
+    assert forward == backward == natural_table(CHARGE2, -5, 1)
+    assert hash(forward) == hash(backward) == hash(natural_table(CHARGE2, -5, 1))
+    assert len({forward, backward, natural_table(CHARGE2, -2, 1)}) == 2
+
+
 def test_text_rendering_is_stable():
     tbl = natural_table(CHARGE2, -2, 1)
     assert tbl.to_text() == "\n".join(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from instanton3.errors import DomainError, OutOfValidityRange
 from instanton3.spectrum import (
     BALANCED_BUNDLE,
+    MAX_SEARCH_SPACE,
     Spectrum,
     SpectrumContext,
     enumerate_spectra,
@@ -157,3 +158,17 @@ def test_enumeration_rejects_bad_arguments():
         enumerate_spectra(0, 1)
     with pytest.raises(DomainError):
         enumerate_spectra(2, 0)
+
+
+def test_enumeration_refuses_boxes_past_the_search_space_ceiling():
+    # C(208, 8) is about 7.6e13 candidates: the library must refuse before filtering.
+    with pytest.raises(DomainError) as excinfo:
+        enumerate_spectra(8, 100)
+    assert str(excinfo.value) == (
+        "enumerating length-8 spectra with bound 100 exceeds the "
+        f"search-space ceiling of {MAX_SEARCH_SPACE} candidates"
+    )
+    # Length 1 has 2*bound + 1 candidates: 999,999 is enumerated, 1,000,001 is refused.
+    assert [sp.ks for sp in enumerate_spectra(1, (MAX_SEARCH_SPACE - 1) // 2)] == [(0,)]
+    with pytest.raises(DomainError):
+        enumerate_spectra(1, MAX_SEARCH_SPACE // 2)

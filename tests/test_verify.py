@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from instanton3 import chern
+from instanton3.chowring import mul
 from instanton3.verify import (
     MUTATION_TARGETS,
     Claim,
@@ -217,6 +219,26 @@ def test_single_constant_corruption_is_detected(monkeypatch, module_name, attr, 
     assert failed, f"corrupting {module_name}.{attr} went undetected ({note})"
     missed = MUST_FAIL[note] - failed
     assert not missed, f"corrupting {module_name}.{attr} ({note}) left pinned claims passing: {sorted(missed)}"
+
+
+# Work counts, not timings: each chi sweep does one ring product per class.
+
+
+@pytest.mark.parametrize(
+    "claim_id,products",
+    [("chi-closed-form-vs-ring", 8), ("chi-curve-form-vs-riemann-roch", 4), ("chi-line-bundles", 1)],
+)
+def test_chi_sweeps_do_one_ring_product_per_class(monkeypatch, claim_id, products):
+    calls = []
+
+    def counting_mul(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(chern, "mul", counting_mul)
+    (claim,) = [c for c in all_claims() if c.id == claim_id]
+    assert run_claim(claim).ok
+    assert len(calls) == products
 
 
 def test_checklist_recovers_after_mutations():

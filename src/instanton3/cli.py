@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -116,7 +117,16 @@ def _add_chern_positionals(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("c3", type=int, help="third Chern class")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    ``parse_args`` fills a fresh Namespace on every call, so sharing the
+    parser carries no state from one ``main`` call to the next; callers
+    must not add to it.  It holds no handler functions: ``main`` looks the
+    handler up by subcommand name when it runs, so rebinding a ``cmd_*``
+    function still takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="instanton3",
         description="Exact Chern-class arithmetic for rank-3 bundles on projective 3-space.",
@@ -127,24 +137,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chern_positionals(p_chi)
     p_chi.add_argument("--m", type=int, default=0, help="twist to evaluate at (default 0)")
     _add_format(p_chi)
-    p_chi.set_defaults(func=cmd_chi)
 
     p_table = sub.add_parser("table", help="natural-cohomology table over a twist window")
     _add_chern_positionals(p_table)
     p_table.add_argument("t_min", type=int, help="first twist of the window")
     p_table.add_argument("t_max", type=int, help="last twist of the window")
     _add_format(p_table)
-    p_table.set_defaults(func=cmd_table)
 
     p_spectra = sub.add_parser("spectra", help="enumerate zero-sum spectra and their predictions")
     p_spectra.add_argument("n", type=int, help="spectrum length (the charge)")
     p_spectra.add_argument("--bound", type=int, default=1, help="entry bound of the search box (default 1)")
     _add_format(p_spectra)
-    p_spectra.set_defaults(func=cmd_spectra)
 
     p_verify = sub.add_parser("verify-paper", help="replay the published claim checklist")
     _add_format(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -155,8 +161,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    handlers = {"chi": cmd_chi, "table": cmd_table, "spectra": cmd_spectra, "verify-paper": cmd_verify}
     try:
-        return args.func(args)
+        return handlers[args.command](args)
     except NotNaturalizable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL

@@ -67,6 +67,14 @@ class ModuliReport:
         }
 
 
+def _ext_difference_closed_form(d: ChernData) -> int:
+    """The closed form -4*c1^2 + 12*c2 - 8 alone, with no cross-check."""
+    if d.rank != 3:
+        raise RankUnsupported(f"the Ext difference closed form needs rank 3, got {d.rank}")
+    a, b, c = EXT_DIFF_COEFFS
+    return a * d.c1 ** 2 + b * d.c2 + c
+
+
 def ext_difference(d: ChernData) -> int:
     """dim Ext^1 - dim Ext^2 at a stable point: -4*c1^2 + 12*c2 - 8.
 
@@ -74,10 +82,7 @@ def ext_difference(d: ChernData) -> int:
     Riemann-Roch route 1 - chi(End F); the two can only disagree if one of
     the transcriptions is corrupted.
     """
-    if d.rank != 3:
-        raise RankUnsupported(f"the Ext difference closed form needs rank 3, got {d.rank}")
-    a, b, c = EXT_DIFF_COEFFS
-    value = a * d.c1 ** 2 + b * d.c2 + c
+    value = _ext_difference_closed_form(d)
     if value != 1 - chi_endomorphisms(d):
         raise ConsistencyError("Ext-difference closed form disagrees with 1 - chi(End)")
     return value

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from typing import Iterator
 
 from .errors import DomainError, OutOfValidityRange
 
@@ -19,7 +19,8 @@ from .errors import DomainError, OutOfValidityRange
 #: the P^1 line-bundle degree read off at twist l is k_i + l + TWIST_SHIFT.
 TWIST_SHIFT = 1
 
-#: Ceiling on the enumeration search space before filtering.
+#: Ceiling on the enumeration search space: the C(2*bound + n, n) candidate
+#: tuples of the whole box, counted before any tuple is built.
 MAX_SEARCH_SPACE = 1_000_000
 
 
@@ -99,11 +100,44 @@ def is_instanton_spectrum(sp: Spectrum) -> bool:
     return all(k == 0 for k in sp.ks)
 
 
+def _zero_sum_tuples(n: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing n-tuples over [-bound, bound] with zero sum, in lexicographic order.
+
+    An iterative depth-first walk.  With ``left`` entries still to place
+    (the next one included) owing the sum ``rest``, the next entry ranges
+    over [max(prev, rest - (left - 1)*bound), rest // left]: the values that
+    leave a nondecreasing completion inside the bound.  Every prefix built
+    therefore completes, and no tuple is built only to be thrown away.
+    """
+    ks: list[int] = []
+    tops: list[int] = []
+    rest = 0
+    while True:
+        while len(ks) < n:
+            left = n - len(ks)
+            k = max(ks[-1] if ks else -bound, rest - (left - 1) * bound)
+            ks.append(k)
+            tops.append(rest // left)
+            rest -= k
+        yield tuple(ks)
+        while ks:
+            k = ks.pop()
+            rest += k
+            if k < tops[-1]:
+                ks.append(k + 1)
+                rest -= k + 1
+                break
+            tops.pop()
+        else:
+            return
+
+
 def enumerate_spectra(n: int, bound: int) -> list[Spectrum]:
     """All nondecreasing integer n-tuples with zero sum and entries in [-bound, bound].
 
     Returned in lexicographic order.  Only the stated arithmetic constraints
-    are imposed; boxes of more than MAX_SEARCH_SPACE candidates are refused.
+    are imposed.  Boxes of more than MAX_SEARCH_SPACE candidates are refused,
+    counting the whole box even though only zero-sum tuples are built.
     """
     if n < 1:
         raise DomainError(f"spectrum length must be positive, got {n}")
@@ -114,8 +148,4 @@ def enumerate_spectra(n: int, bound: int) -> list[Spectrum]:
             f"enumerating length-{n} spectra with bound {bound} exceeds the "
             f"search-space ceiling of {MAX_SEARCH_SPACE} candidates"
         )
-    return [
-        Spectrum(ks)
-        for ks in combinations_with_replacement(range(-bound, bound + 1), n)
-        if sum(ks) == 0
-    ]
+    return [Spectrum(ks) for ks in _zero_sum_tuples(n, bound)]

@@ -193,6 +193,47 @@ def test_help_exits_zero(capsys):
     assert run_cli(capsys, "table", "--help")[0] == 0
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+SEQUENCE = (
+    ("chi", "3", "0", "2"),
+    ("--help",),
+    ("chi", "3", "0", "2", "0", "--m", "1"),
+)
+
+
+def test_shared_parser_matches_a_fresh_one(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = []
+    for argv in SEQUENCE:
+        cli.build_parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    back_to_back = [run_cli(capsys, *argv) for argv in SEQUENCE]
+    assert back_to_back == alone
+    assert [rc for rc, _, _ in alone] == [cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_OK]
+    assert alone[0][2].startswith("usage: instanton3 chi ")
+    assert alone[1][1].startswith("usage: instanton3 ")
+    assert alone[2][1:] == ("6\n", "")
+
+
+def test_defaults_do_not_leak_between_calls(capsys):
+    assert run_cli(capsys, "chi", "3", "0", "2", "0", "--m", "1", "--format", "json")[0] == 0
+    assert run_cli(capsys, "chi", "3", "0", "2", "0") == (0, "-1\n", "")
+    assert run_cli(capsys, "spectra", "2", "--bound", "2", "--format", "json")[0] == 0
+    assert run_cli(capsys, "spectra", "2")[1] == (
+        "(-1,1): h1(-2)=1 h2(-2)=1 instanton=no\n"
+        "(0,0): h1(-2)=0 h2(-2)=0 instanton=yes\n"
+    )
+
+
+def test_handlers_are_looked_up_when_main_runs(capsys, monkeypatch):
+    cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_chi", lambda args: 7)
+    assert run_cli(capsys, "chi", "3", "0", "2", "0") == (7, "", "")
+
+
 def test_entry_raises_system_exit(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["instanton3", "chi", "3", "0", "2", "0", "--m", "1"])
     with pytest.raises(SystemExit) as excinfo:

@@ -1,0 +1,80 @@
+"""Golden test: every README console example and JSON shape, replayed through cli.main."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from instanton3 import cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def console_examples():
+    """(argv, pipe, expected stdout) for each ``$ instanton3 ...`` line of a console block."""
+    examples = []
+    for block in re.findall(r"^```console\n(.*?)^```$", README, re.M | re.S):
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M):
+            if not chunk:
+                continue
+            command, _, expected = chunk.partition("\n")
+            command, _, pipe = command.removeprefix("$ ").partition(" | ")
+            prog, *argv = shlex.split(command)
+            assert prog == "instanton3"
+            examples.append((argv, pipe, expected))
+    return examples
+
+
+EXAMPLES = console_examples()
+
+
+def json_shapes():
+    """{subcommand: shape text} from the bullet list under "JSON output"."""
+    section = README.split("## JSON output", 1)[1].split("\n## ", 1)[0]
+    return {name: " ".join(shape.split()) for name, shape in re.findall(r"^- `([\w-]+)`: `([^`]*)`", section, re.M)}
+
+
+def shape_keys(shape):
+    """The quoted keys of a shape: (top level, inside its list of objects)."""
+    nested = re.search(r"\[\{(.*?)\}", shape)
+    top = shape if nested is None else shape.replace(nested.group(0), "")
+    return set(re.findall(r'"(\w+)"', top)), set(re.findall(r'"(\w+)"', nested.group(1))) if nested else set()
+
+
+def run_cli(capsys, argv):
+    rc = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_readme_has_an_example_per_subcommand():
+    assert [argv[0] for argv, _, _ in EXAMPLES] == ["chi", "table", "spectra", "verify-paper"]
+
+
+@pytest.mark.parametrize("argv,pipe,expected", EXAMPLES, ids=[" ".join(a) for a, _, _ in EXAMPLES])
+def test_console_example_replays_byte_for_byte(capsys, argv, pipe, expected):
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, err) == (cli.EXIT_OK, "")
+    if pipe:
+        assert pipe == "tail -1"
+        out = out.splitlines(keepends=True)[-1]
+    assert out == expected
+
+
+def test_json_shapes_list_every_subcommand():
+    assert sorted(json_shapes()) == sorted(argv[0] for argv, _, _ in EXAMPLES)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in EXAMPLES], ids=[a[0] for a, _, _ in EXAMPLES])
+def test_json_output_has_the_documented_keys(capsys, argv):
+    top, nested = shape_keys(json_shapes()[argv[0]])
+    rc, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert rc == cli.EXIT_OK
+    payload = json.loads(out)
+    assert set(payload) == top
+    listed = [v for v in payload.values() if isinstance(v, list) and v and isinstance(v[0], dict)]
+    assert len(listed) == (1 if nested else 0)
+    for entries in listed:
+        assert all(set(entry) == nested for entry in entries)

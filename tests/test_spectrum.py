@@ -1,6 +1,6 @@
 """Spectrum arithmetic: P^1 cohomology sums and the zero-sum enumeration."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -172,3 +172,25 @@ def test_enumeration_refuses_boxes_past_the_search_space_ceiling():
     assert [sp.ks for sp in enumerate_spectra(1, (MAX_SEARCH_SPACE - 1) // 2)] == [(0,)]
     with pytest.raises(DomainError):
         enumerate_spectra(1, MAX_SEARCH_SPACE // 2)
+
+
+def filtered_box(n, bound):
+    """Reference enumeration: every tuple of the box, filtered for zero sums."""
+    return [ks for ks in combinations_with_replacement(range(-bound, bound + 1), n) if sum(ks) == 0]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("bound", range(1, 7))
+def test_enumeration_walk_equals_the_filtered_box(n, bound):
+    assert [sp.ks for sp in enumerate_spectra(n, bound)] == filtered_box(n, bound)
+
+
+def test_enumeration_walk_is_not_recursive_at_the_longest_admitted_length():
+    # C(1414, 2) = 998,991 candidates are admitted, C(1415, 2) = 1,000,405 are not;
+    # 1412 entries are far deeper than the recursion limit.
+    found = enumerate_spectra(1412, 1)
+    assert len(found) == 707
+    assert found[0].ks == (-1,) * 706 + (1,) * 706
+    assert found[-1].ks == (0,) * 1412
+    with pytest.raises(DomainError, match="search-space ceiling"):
+        enumerate_spectra(1413, 1)

@@ -221,12 +221,18 @@ def test_single_constant_corruption_is_detected(monkeypatch, module_name, attr, 
     assert not missed, f"corrupting {module_name}.{attr} ({note}) left pinned claims passing: {sorted(missed)}"
 
 
-# Work counts, not timings: each chi sweep does one ring product per class.
+# Work counts, not timings: each chi sweep does one ring product per class,
+# and the Ext-difference sweep one chi(End), two products, per sample.
 
 
 @pytest.mark.parametrize(
     "claim_id,products",
-    [("chi-closed-form-vs-ring", 8), ("chi-curve-form-vs-riemann-roch", 4), ("chi-line-bundles", 1)],
+    [
+        ("chi-closed-form-vs-ring", 8),
+        ("chi-curve-form-vs-riemann-roch", 4),
+        ("chi-line-bundles", 1),
+        ("ext-difference-consistency", 10),
+    ],
 )
 def test_chi_sweeps_do_one_ring_product_per_class(monkeypatch, claim_id, products):
     calls = []

@@ -11,6 +11,7 @@ from instanton3.chowring import mul
 from instanton3.verify import (
     MUTATION_TARGETS,
     Claim,
+    _jsonable,
     all_claims,
     report_json_dict,
     report_text,
@@ -219,6 +220,58 @@ def test_single_constant_corruption_is_detected(monkeypatch, module_name, attr, 
     assert failed, f"corrupting {module_name}.{attr} went undetected ({note})"
     missed = MUST_FAIL[note] - failed
     assert not missed, f"corrupting {module_name}.{attr} ({note}) left pinned claims passing: {sorted(missed)}"
+
+
+# The mismatch reports of the family claims (expected value []) under each
+# mutant: how many rows fail and the first of them, or the error text when
+# the sweep raises.  Mutants absent from a claim's sweep leave it passing.
+
+FAMILY_REPORTS = {
+    "Todd H^2 coefficient 11/6 -> 11/5": {
+        "chi-line-bundles": "NonIntegralChi: chi at twist 1 is not an integer: 131/30",
+        "chi-closed-form-vs-ring": "NonIntegralChi: chi at twist -8 is not an integer: -509/5",
+        "chi-curve-form-vs-riemann-roch": "NonIntegralChi: chi at twist -8 is not an integer: -577/10",
+    },
+    "Todd H coefficient 2 -> 3": {
+        "chi-line-bundles": "NonIntegralChi: chi at twist 1 is not an integer: 9/2",
+        "chi-closed-form-vs-ring": "NonIntegralChi: chi at twist -7 is not an integer: 43/2",
+        "chi-curve-form-vs-riemann-roch": "NonIntegralChi: chi at twist -8 is not an integer: 43/2",
+        "chi-endomorphisms-closed-form": (5, [[3, 0, 2, 0], -27, -15]),
+        "ext-difference-family": "ConsistencyError: Ext-difference closed form disagrees with 1 - chi(End)",
+        "ext-difference-consistency": (5, [[3, 0, 2, 0], 16, 28]),
+    },
+    "chi transcription linear weight 2 -> 3": {"chi-closed-form-vs-ring": (133, [[3, 0, 2, 0], -8])},
+    "chi transcription quadratic weight 11/6 -> 11/5": {"chi-closed-form-vs-ring": (131, [[3, 0, 2, 0], -8])},
+    "chi(End) constant term 9 -> 8": {"chi-endomorphisms-closed-form": (5, [[3, 0, 2, 0], -15, -16])},
+    "Ext-difference constant term -8 -> -7": {
+        "ext-difference-family": "ConsistencyError: Ext-difference closed form disagrees with 1 - chi(End)",
+        "ext-difference-consistency": (5, [[3, 0, 2, 0], 17, 16]),
+    },
+    "Ext-difference c1^2 weight -4 -> 4": {"ext-difference-consistency": (3, [[3, 1, 3, 1], 32, 24])},
+    "quoted reflexive moduli dimension 19 -> 18": {},
+    "quoted extension dimension 3 -> 2": {},
+    "genus relation c2 weight -4 -> 4": {
+        "chi-curve-form-vs-riemann-roch": (68, [3, 5, 0, -8]),
+        "curve-family-degrees": (9, [2, 5, 20]),
+    },
+    "determinant twist 3 -> 2": {"normal-bundle-twist-degrees": (19, [2, 8])},
+    "spectrum twist shift 1 -> 2": {},
+}
+
+
+@pytest.mark.parametrize(
+    "module_name,attr,mutant,note",
+    MUTATION_TARGETS,
+    ids=[f"{m}.{a}:{note}" for m, a, _, note in MUTATION_TARGETS],
+)
+def test_family_mismatch_reports_are_frozen(monkeypatch, module_name, attr, mutant, note):
+    monkeypatch.setattr(importlib.import_module(f"instanton3.{module_name}"), attr, mutant)
+    reports = {
+        r.claim.id: r.error if r.error is not None else (len(r.actual), _jsonable(r.actual[0]))
+        for r in run_all()
+        if r.claim.expected == [] and not r.ok
+    }
+    assert reports == FAMILY_REPORTS[note]
 
 
 # Work counts, not timings: each chi sweep does one ring product per class,

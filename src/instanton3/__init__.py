@@ -9,8 +9,6 @@ The ``verify`` module replays the full checklist of published reference
 values; the ``cli`` module exposes the same machinery on the command line.
 """
 
-from __future__ import annotations
-
 from .binomials import binom3, binom3_poly
 from .chern import (
     ChernData,
@@ -80,68 +78,3 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BALANCED_BUNDLE",
-    "ChernData",
-    "ChiPolynomial",
-    "ChowClass",
-    "CohomTable",
-    "ConsistencyError",
-    "CubicSignAnalysis",
-    "CurveInvariants",
-    "DerivationStep",
-    "DomainError",
-    "MissingHypothesis",
-    "MissingRows",
-    "ModuliReport",
-    "MonadType",
-    "NonIntegralChernClass",
-    "NonIntegralChi",
-    "NotNaturalizable",
-    "ONE",
-    "OutOfValidityRange",
-    "ParityViolation",
-    "RankUnsupported",
-    "Spectrum",
-    "SpectrumContext",
-    "ToolkitError",
-    "add",
-    "binom3",
-    "binom3_poly",
-    "bundle_to_curve",
-    "charge2_dimension_chain",
-    "chern_character",
-    "chern_from_character",
-    "chi_curve_form",
-    "chi_endomorphisms",
-    "chi_endomorphisms_closed_form",
-    "chi_f1_charge",
-    "chi_ideal_sheaf",
-    "chi_numerators",
-    "chi_polynomial",
-    "curve_to_bundle",
-    "degree",
-    "dual",
-    "enumerate_spectra",
-    "euler_characteristic",
-    "ext_difference",
-    "exp_line",
-    "generated_by_two_sections",
-    "h0_p1",
-    "h1_from_spectrum",
-    "h1_p1",
-    "h2_from_spectrum",
-    "instanton_check",
-    "is_instanton_spectrum",
-    "monad_chern",
-    "mul",
-    "natural_table",
-    "rational_normal_twist_degree",
-    "serre_symmetry_check",
-    "smooth_dimension",
-    "thooft_threshold",
-    "todd_p3",
-    "twist",
-    "validate_parity",
-]

@@ -40,7 +40,7 @@ class ChernData:
 
     def __post_init__(self) -> None:
         if self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank}")
+            raise DomainError(f"rank must be a positive integer, got {self.rank}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,9 @@ def chern_character(d: ChernData) -> ChowClass:
 def chern_from_character(x: ChowClass, rank: int) -> ChernData:
     """Invert chern_character; raises NonIntegralChernClass if no sheaf fits."""
     if rank < 1:
-        raise ValueError(f"rank must be a positive integer, got {rank}")
+        raise DomainError(f"rank must be a positive integer, got {rank}")
     if x.a0 != rank:
-        raise ValueError(f"degree-0 coefficient {x.a0} does not match rank {rank}")
+        raise DomainError(f"degree-0 coefficient {x.a0} does not match rank {rank}")
     c1 = _as_int(x.a1, NonIntegralChernClass, "c1")
     c2 = _as_int(Fraction(c1 * c1, 2) - x.a2, NonIntegralChernClass, "c2")
     c3 = _as_int((6 * x.a3 - c1 ** 3 + 3 * c1 * c2) / 3, NonIntegralChernClass, "c3")

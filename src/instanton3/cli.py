@@ -61,8 +61,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     data = _chern_from_args(args)
     _check_twist(args.t_min, "t_min")
     _check_twist(args.t_max, "t_max")
-    if args.t_min > args.t_max:
-        raise DomainError(f"empty twist window: t_min = {args.t_min} exceeds t_max = {args.t_max}")
     tbl = natural_table(data, args.t_min, args.t_max)
     if args.format == "json":
         _print_json(tbl.to_json_dict())
@@ -167,7 +165,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotNaturalizable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (ToolkitError, ValueError) as exc:
+    except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

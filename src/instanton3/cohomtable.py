@@ -46,9 +46,9 @@ class MonadType:
 
     def __post_init__(self) -> None:
         if min(self.a, self.b, self.c) < 0:
-            raise ValueError(f"monad multiplicities cannot be negative: {(self.a, self.b, self.c)}")
+            raise DomainError(f"monad multiplicities cannot be negative: {(self.a, self.b, self.c)}")
         if self.b - self.a - self.c < 1:
-            raise ValueError(f"monad cohomology must have positive rank, got {self.b - self.a - self.c}")
+            raise DomainError(f"monad cohomology must have positive rank, got {self.b - self.a - self.c}")
 
 
 def monad_chern(mt: MonadType) -> ChernData:
@@ -96,7 +96,7 @@ def natural_table(d: ChernData, t_min: int, t_max: int) -> CohomTable:
     h^0 region, so no sheaf-style table exists at all.
     """
     if t_min > t_max:
-        raise DomainError(f"empty twist range: {t_min} > {t_max}")
+        raise DomainError(f"empty twist window: t_min = {t_min} exceeds t_max = {t_max}")
     if d.rank == 3 and not validate_parity(d):
         raise ParityViolation(
             f"classes ({d.rank}, {d.c1}, {d.c2}, {d.c3}) violate the parity "

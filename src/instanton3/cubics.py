@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import DomainError
+
 Poly = list[Fraction]  # ascending coefficients, no trailing zeros
 
 
@@ -106,7 +108,7 @@ class CubicSignAnalysis:
     def __init__(self, coeffs) -> None:
         p = _trim([Fraction(c) for c in coeffs])
         if _degree(p) != 3:
-            raise ValueError(f"need a cubic, got degree {_degree(p)}")
+            raise DomainError(f"need a cubic, got degree {_degree(p)}")
         self.coeffs: tuple[Fraction, ...] = tuple(p)
         dp = _derivative(p)
         g = _gcd(p, dp)

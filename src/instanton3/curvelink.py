@@ -40,9 +40,9 @@ class CurveInvariants:
 
     def __post_init__(self) -> None:
         if self.d < 1:
-            raise ValueError(f"curve degree must be positive, got {self.d}")
+            raise DomainError(f"curve degree must be positive, got {self.d}")
         if self.rational and self.g != 0:
-            raise ValueError(f"a rational curve has genus 0, got {self.g}")
+            raise DomainError(f"a rational curve has genus 0, got {self.g}")
 
 
 def bundle_to_curve(d3: ChernData) -> CurveInvariants:

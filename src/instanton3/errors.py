@@ -21,8 +21,11 @@ class ParityViolation(ToolkitError):
     """c3 - c1*c2 is odd, so the genus relation has no integer solution."""
 
 
-class DomainError(ToolkitError):
-    """An argument lies outside the range on which the quantity is defined."""
+class DomainError(ToolkitError, ValueError):
+    """An argument lies outside the range on which the quantity is defined.
+
+    Also a ValueError, so callers that catch the built-in keep working.
+    """
 
 
 class OutOfValidityRange(ToolkitError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .chern import ChernData, chi_endomorphisms, euler_characteristic
 from .cohomtable import natural_table
-from .errors import ConsistencyError, MissingHypothesis, RankUnsupported
+from .errors import ConsistencyError, DomainError, MissingHypothesis, RankUnsupported
 
 #: Weights of (c1^2, c2, 1) in the Ext-difference closed form for rank 3.
 EXT_DIFF_COEFFS = (-4, 12, -8)
@@ -47,11 +47,11 @@ class ModuliReport:
 
     def __post_init__(self) -> None:
         if "stable" in self.hypotheses and self.ext_diff != 1 - self.chi_end:
-            raise ValueError("under stability the Ext difference must be 1 - chi(End)")
+            raise DomainError("under stability the Ext difference must be 1 - chi(End)")
         if (self.dimension is not None) != ("ext2_vanishes" in self.hypotheses):
-            raise ValueError("a dimension is reported exactly when Ext^2 vanishing is assumed")
+            raise DomainError("a dimension is reported exactly when Ext^2 vanishing is assumed")
         if self.dimension is not None and self.dimension != self.ext_diff:
-            raise ValueError("the reported dimension must equal the Ext difference")
+            raise DomainError("the reported dimension must equal the Ext difference")
 
     def to_json_dict(self) -> dict:
         return {

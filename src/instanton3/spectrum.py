@@ -31,9 +31,13 @@ class Spectrum:
     ks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
-        if any(a > b for a, b in zip(self.ks, self.ks[1:])):
-            raise ValueError(f"spectrum entries must be nondecreasing, got {self.ks}")
+        raw = tuple(self.ks)
+        ks = tuple(map(int, raw))
+        if ks != raw:
+            raise DomainError(f"spectrum entries must be integers, got {raw}")
+        object.__setattr__(self, "ks", ks)
+        if any(a > b for a, b in zip(ks, ks[1:])):
+            raise DomainError(f"spectrum entries must be nondecreasing, got {self.ks}")
 
     def __len__(self) -> int:
         return len(self.ks)
@@ -57,9 +61,9 @@ class SpectrumContext:
 
     def __post_init__(self) -> None:
         if self.s < 0:
-            raise ValueError(f"the h^1 correction term cannot be negative, got {self.s}")
+            raise DomainError(f"the h^1 correction term cannot be negative, got {self.s}")
         if self.a_low > self.a_high:
-            raise ValueError(f"need a_low <= a_high, got {self.a_low} > {self.a_high}")
+            raise DomainError(f"need a_low <= a_high, got {self.a_low} > {self.a_high}")
 
     @classmethod
     def for_bundle(cls, a_low: int = 0, a_high: int = 0) -> "SpectrumContext":

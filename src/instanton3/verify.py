@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import product, starmap
 from typing import Callable
 
 from .chern import (
@@ -93,115 +95,32 @@ _MIXED_RANK_SAMPLES = _RANK3_SAMPLES + (
 
 _CHI_SWEEP_TWISTS = range(-8, 9)
 
-
-def _line_bundle_chi_mismatches() -> list:
-    chis = chi_values(ChernData(1, 0, 0, 0), range(0, 7))
-    return [(m, chi) for m, chi in enumerate(chis) if chi != (m + 3) * (m + 2) * (m + 1) // 6]
+#: The charges n = 2..10 of the charge-n family claims.
+_CHARGES = range(2, 11)
 
 
-def _twist_family_mismatches() -> list:
-    return [
-        (n, twist(ChernData(3, 0, n, 0), 1))
-        for n in range(2, 11)
-        if twist(ChernData(3, 0, n, 0), 1) != ChernData(3, 3, n + 3, n + 1)
-    ]
+def _mismatches(rows) -> list:
+    """The report of every (report, got, want) row whose two sides differ."""
+    return [report for report, got, want in rows if got != want]
 
 
-def _parity_genus_mismatches() -> list:
-    bad = []
-    for c1 in range(-3, 4):
-        for c2 in range(1, 6):
-            for c3 in range(-6, 7):
-                d = ChernData(3, c1, c2, c3)
-                ok_parity = validate_parity(d)
-                try:
-                    bundle_to_curve(d)
-                    ok_curve = True
-                except ParityViolation:
-                    ok_curve = False
-                if ok_parity != ok_curve:
-                    bad.append((c1, c2, c3))
-    return bad
+def _family(params, got, want) -> list:
+    """Mismatches of a one-parameter family, each reported as (p, got(p))."""
+    return _mismatches(((p, g), g, want(p)) for p, g in zip(params, map(got, params)))
 
 
-def _chi_transcription_mismatches() -> list:
-    bad = []
-    for d in _MIXED_RANK_SAMPLES:
-        p = chi_polynomial(d)
-        for m, chi in zip(_CHI_SWEEP_TWISTS, chi_values(d, _CHI_SWEEP_TWISTS)):
-            if p(m) != chi:
-                bad.append((d, m))
-    return bad
+def _routes(params, first, second) -> list:
+    """Mismatches of two routes over the same parameters, each reported as (p, first(p), second(p))."""
+    return _mismatches(((p, a, b), a, b) for p, a, b in zip(params, map(first, params), map(second, params)))
 
 
-def _chi_curve_form_mismatches() -> list:
-    bad = []
-    for c1, dd, g in ((3, 5, 0), (0, 2, -3), (-1, 4, 1), (2, 3, 0)):
-        bundle = curve_to_bundle(CurveInvariants(dd, g), c1)
-        for m, chi in zip(_CHI_SWEEP_TWISTS, chi_values(bundle, _CHI_SWEEP_TWISTS)):
-            if chi_curve_form(c1, dd, g, m, signed_binomials=True) != chi:
-                bad.append((c1, dd, g, m))
-    return bad
-
-
-def _curve_family_mismatches() -> list:
-    bad = []
-    for n in range(2, 11):
-        cv = bundle_to_curve(ChernData(3, 3, n + 3, n + 1))
-        if (cv.d, cv.g) != (n + 3, 0):
-            bad.append((n, cv.d, cv.g))
-    return bad
-
-
-def _normal_twist_mismatches() -> list:
-    return [
-        (n, rational_normal_twist_degree(n))
-        for n in range(2, 21)
-        if rational_normal_twist_degree(n) != n + 1
-    ]
-
-
-def _two_section_mismatches() -> list:
-    return [n for n in range(2, 21) if not generated_by_two_sections(rational_normal_twist_degree(n))]
-
-
-def _ideal_sheaf_mismatches() -> list:
-    return [
-        (n, chi_ideal_sheaf(CurveInvariants(n + 3, 0, rational=True), 0))
-        for n in range(2, 11)
-        if chi_ideal_sheaf(CurveInvariants(n + 3, 0, rational=True), 0) != 0
-    ]
-
-
-def _monad_family_mismatches() -> list:
-    return [
-        (n, monad_chern(MonadType(n, 2 * n + 3, n)))
-        for n in range(2, 7)
-        if monad_chern(MonadType(n, 2 * n + 3, n)) != ChernData(3, 0, n, 0)
-    ]
-
-
-def _chi_end_closed_form_mismatches() -> list:
-    return [
-        (d, chi_endomorphisms(d), chi_endomorphisms_closed_form(d))
-        for d in _RANK3_SAMPLES
-        if chi_endomorphisms(d) != chi_endomorphisms_closed_form(d)
-    ]
-
-
-def _ext_difference_mismatches() -> list:
-    # The closed form without ext_difference's own cross-check, so a
-    # disagreement comes back as a mismatch rather than a ConsistencyError.
-    pairs = ((d, _ext_difference_closed_form(d), 1 - chi_endomorphisms(d)) for d in _RANK3_SAMPLES)
-    return [(d, closed, ring) for d, closed, ring in pairs if closed != ring]
-
-
-def _ext_family_mismatches() -> list:
-    return [
-        (n, ext_difference(ChernData(3, 0, n, 0)))
-        for n in range(2, 11)
-        if ext_difference(ChernData(3, 0, n, 0)) != 12 * n - 8
-    ]
+def _genus_solvable(d: ChernData) -> bool:
+    """Whether the curve dictionary finds an integer genus for d."""
+    try:
+        bundle_to_curve(d)
+    except ParityViolation:
+        return False
+    return True
 
 
 def _spectrum_elimination() -> dict:
@@ -230,7 +149,10 @@ def all_claims() -> tuple[Claim, ...]:
             "chi-line-bundles",
             "chi(O(m)) = C(m+3, 3) for m = 0..6 through the ring route",
             [],
-            _line_bundle_chi_mismatches,
+            lambda: _mismatches(
+                ((m, chi), chi, (m + 3) * (m + 2) * (m + 1) // 6)
+                for m, chi in zip(range(0, 7), chi_values(ChernData(1, 0, 0, 0), range(0, 7)))
+            ),
         ),
         Claim(
             "character-charge2",
@@ -266,7 +188,9 @@ def all_claims() -> tuple[Claim, ...]:
             "twist-charge-family",
             "F(1) of the charge-n type (3, 0, n, 0) has classes (3, 3, n+3, n+1) for n = 2..10",
             [],
-            _twist_family_mismatches,
+            lambda: _family(
+                _CHARGES, lambda n: twist(ChernData(3, 0, n, 0), 1), lambda n: ChernData(3, 3, n + 3, n + 1)
+            ),
         ),
         Claim(
             "chi-twist1-charge2",
@@ -296,19 +220,32 @@ def all_claims() -> tuple[Claim, ...]:
             "parity-genus-consistency",
             "the genus relation has an integer solution exactly when the parity check passes",
             [],
-            _parity_genus_mismatches,
+            lambda: _mismatches(
+                ((d.c1, d.c2, d.c3), validate_parity(d), _genus_solvable(d))
+                for d in starmap(partial(ChernData, 3), product(range(-3, 4), range(1, 6), range(-6, 7)))
+            ),
         ),
         Claim(
             "chi-closed-form-vs-ring",
             "the transcribed chi cubic matches the Todd pairing on a mixed-rank sample sweep",
             [],
-            _chi_transcription_mismatches,
+            lambda: _mismatches(
+                ((d, m), p(m), chi)
+                for d, p in zip(_MIXED_RANK_SAMPLES, map(chi_polynomial, _MIXED_RANK_SAMPLES))
+                for m, chi in zip(_CHI_SWEEP_TWISTS, chi_values(d, _CHI_SWEEP_TWISTS))
+            ),
         ),
         Claim(
             "chi-curve-form-vs-riemann-roch",
             "the curve-side chi formula matches the Todd pairing under the degree-genus dictionary",
             [],
-            _chi_curve_form_mismatches,
+            lambda: _mismatches(
+                ((c1, dd, g, m), chi_curve_form(c1, dd, g, m, signed_binomials=True), chi)
+                for c1, dd, g in ((3, 5, 0), (0, 2, -3), (-1, 4, 1), (2, 3, 0))
+                for m, chi in zip(
+                    _CHI_SWEEP_TWISTS, chi_values(curve_to_bundle(CurveInvariants(dd, g), c1), _CHI_SWEEP_TWISTS)
+                )
+            ),
         ),
         # Spectrum arithmetic.
         Claim(
@@ -388,7 +325,10 @@ def all_claims() -> tuple[Claim, ...]:
             "curve-family-degrees",
             "F(1) of the charge-n type matches a rational curve of degree n + 3 for n = 2..10",
             [],
-            _curve_family_mismatches,
+            lambda: _mismatches(
+                ((n, cv.d, cv.g), (cv.d, cv.g), (n + 3, 0))
+                for n, cv in zip(_CHARGES, (bundle_to_curve(ChernData(3, 3, n + 3, n + 1)) for n in _CHARGES))
+            ),
         ),
         Claim(
             "curve-roundtrip-quintic",
@@ -400,19 +340,23 @@ def all_claims() -> tuple[Claim, ...]:
             "normal-bundle-twist-degrees",
             "det(N)(-3) on the degree-(n+3) rational curve has degree n + 1 for n = 2..20",
             [],
-            _normal_twist_mismatches,
+            lambda: _family(range(2, 21), rational_normal_twist_degree, lambda n: n + 1),
         ),
         Claim(
             "normal-bundle-two-sections",
             "the twisted determinant admits two spanning sections for every charge n = 2..20",
             [],
-            _two_section_mismatches,
+            lambda: _mismatches(
+                (n, generated_by_two_sections(rational_normal_twist_degree(n)), True) for n in range(2, 21)
+            ),
         ),
         Claim(
             "chi-ideal-rational-curves",
             "chi of the untwisted ideal sheaf of the degree-(n+3) rational curve vanishes",
             [],
-            _ideal_sheaf_mismatches,
+            lambda: _family(
+                _CHARGES, lambda n: chi_ideal_sheaf(CurveInvariants(n + 3, 0, rational=True), 0), lambda n: 0
+            ),
         ),
         Claim(
             "thooft-threshold-rank3",
@@ -463,7 +407,9 @@ def all_claims() -> tuple[Claim, ...]:
             "monad-charge-family",
             "the monad with multiplicities (n, 2n+3, n) has cohomology of type (3, 0, n, 0) for n = 2..6",
             [],
-            _monad_family_mismatches,
+            lambda: _family(
+                range(2, 7), lambda n: monad_chern(MonadType(n, 2 * n + 3, n)), lambda n: ChernData(3, 0, n, 0)
+            ),
         ),
         Claim(
             "serre-symmetry-charge2",
@@ -482,7 +428,7 @@ def all_claims() -> tuple[Claim, ...]:
             "chi-endomorphisms-closed-form",
             "the closed form 4c1^2 - 12c2 + 9 matches the ring route on the rank-3 samples",
             [],
-            _chi_end_closed_form_mismatches,
+            lambda: _routes(_RANK3_SAMPLES, chi_endomorphisms, chi_endomorphisms_closed_form),
         ),
         Claim(
             "ext-difference-charge2",
@@ -494,13 +440,15 @@ def all_claims() -> tuple[Claim, ...]:
             "ext-difference-family",
             "the Ext difference of the charge-n type is 12n - 8 for n = 2..10",
             [],
-            _ext_family_mismatches,
+            lambda: _family(_CHARGES, lambda n: ext_difference(ChernData(3, 0, n, 0)), lambda n: 12 * n - 8),
         ),
         Claim(
             "ext-difference-consistency",
             "the Ext-difference closed form equals 1 - chi(End) on the rank-3 samples",
             [],
-            _ext_difference_mismatches,
+            # The closed form without ext_difference's own cross-check, so a
+            # disagreement comes back as a mismatch rather than a ConsistencyError.
+            lambda: _routes(_RANK3_SAMPLES, _ext_difference_closed_form, lambda d: 1 - chi_endomorphisms(d)),
         ),
         Claim(
             "smooth-point-dimension-charge2",

@@ -8,7 +8,20 @@ from pathlib import Path
 
 import pytest
 
-from instanton3 import cli
+from instanton3 import (
+    ONE,
+    ChernData,
+    CubicSignAnalysis,
+    CurveInvariants,
+    DomainError,
+    ModuliReport,
+    MonadType,
+    Spectrum,
+    SpectrumContext,
+    ToolkitError,
+    chern_from_character,
+    cli,
+)
 
 CHARGE2_TABLE = "\n".join(
     [
@@ -94,9 +107,43 @@ def test_table_model_obstruction_exits_three(capsys):
 
 
 def test_table_empty_window_is_usage_error(capsys):
-    rc, _, err = run_cli(capsys, "table", "3", "0", "2", "0", "1", "0")
-    assert rc == cli.EXIT_USAGE
-    assert "empty twist window" in err
+    rc, out, err = run_cli(capsys, "table", "3", "0", "2", "0", "1", "0")
+    assert (rc, out, err) == (cli.EXIT_USAGE, "", "error: empty twist window: t_min = 1 exceeds t_max = 0\n")
+
+
+def test_library_validation_error_is_a_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "chi", "0", "0", "0", "0")
+    assert (rc, out, err) == (cli.EXIT_USAGE, "", "error: rank must be a positive integer, got 0\n")
+
+
+# main reports ToolkitError alone, so every precondition the library checks
+# raises DomainError, which is also a ValueError for callers catching that.
+
+_CHARGE2 = ChernData(3, 0, 2, 0)
+PRECONDITIONS = {
+    "rank": lambda: ChernData(0, 0, 0, 0),
+    "character rank": lambda: chern_from_character(ONE, 0),
+    "character degree 0": lambda: chern_from_character(ONE, 2),
+    "monad multiplicities": lambda: MonadType(-1, 2, 0),
+    "monad rank": lambda: MonadType(1, 2, 1),
+    "cubic degree": lambda: CubicSignAnalysis((1, 2)),
+    "curve degree": lambda: CurveInvariants(0, 0),
+    "rational genus": lambda: CurveInvariants(3, 1, rational=True),
+    "stable Ext difference": lambda: ModuliReport(_CHARGE2, -15, 15, ("stable",), None, ()),
+    "dimension without Ext^2": lambda: ModuliReport(_CHARGE2, -15, 16, (), 16, ()),
+    "dimension vs Ext difference": lambda: ModuliReport(_CHARGE2, -15, 16, ("ext2_vanishes",), 15, ()),
+    "spectrum order": lambda: Spectrum((1, -1)),
+    "correction term": lambda: SpectrumContext(s=-1),
+    "splitting bounds": lambda: SpectrumContext(a_low=1, a_high=0),
+}
+
+
+@pytest.mark.parametrize("call", PRECONDITIONS.values(), ids=PRECONDITIONS.keys())
+def test_library_preconditions_raise_domain_errors(call):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert isinstance(info.value, ToolkitError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_table_refuses_huge_twists(capsys):

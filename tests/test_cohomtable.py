@@ -213,7 +213,7 @@ def reference_outcome(d, t_min, t_max):
     rows.
     """
     if t_min > t_max:
-        return DomainError, f"empty twist range: {t_min} > {t_max}"
+        return DomainError, f"empty twist window: t_min = {t_min} exceeds t_max = {t_max}"
     if d.rank == 3 and not validate_parity(d):
         return ParityViolation, (
             f"classes ({d.rank}, {d.c1}, {d.c2}, {d.c3}) violate the parity constraint c3 = c1*c2 mod 2"

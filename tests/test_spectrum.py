@@ -1,5 +1,6 @@
 """Spectrum arithmetic: P^1 cohomology sums and the zero-sum enumeration."""
 
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -41,6 +42,18 @@ def test_spectrum_requires_nondecreasing_entries():
     sp = Spectrum((-1, 0, 1))
     assert len(sp) == 3
     assert list(sp) == [-1, 0, 1]
+
+
+@pytest.mark.parametrize("ks", [(-0.5, 0.5), (1.9, 2.7)])
+def test_spectrum_rejects_non_integer_entries(ks):
+    with pytest.raises(DomainError, match="must be integers"):
+        Spectrum(ks)
+
+
+def test_spectrum_accepts_integer_valued_entries():
+    ks = Spectrum((-1.0, Fraction(1))).ks
+    assert ks == (-1, 1)
+    assert all(type(k) is int for k in ks)
 
 
 def test_context_validation():

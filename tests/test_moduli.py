@@ -100,15 +100,45 @@ def test_chain_agrees_with_the_ext_route():
     assert charge2_dimension_chain().dimension == ext_difference(CHARGE2)
 
 
+def _steps(*rows):
+    return [{"quantity": q, "value": v, "provenance": p} for q, v, p in rows]
+
+
+#: The whole JSON payload of each report, key order included.
+REPORT_PAYLOADS = {
+    "charge2 chain": (charge2_dimension_chain, {
+        "chern": [3, 0, 2, 0],
+        "chi_end": -15,
+        "ext_diff": 16,
+        "hypotheses": ["stable", "ext2_vanishes"],
+        "dimension": 16,
+        "derivation": _steps(
+            ("dim of the reflexive-sheaf moduli", 19,
+             "quoted constant: stable rank-2 reflexive sheaves with classes (-1, 3, 3) (Chang)"),
+            ("dim Ext^1(E(2), O)", 3, "quoted constant: extension classes over a fixed reflexive sheaf"),
+            ("dim of the pair space", 22, "sum of the two previous entries"),
+            ("fiber dim h^0(F(1))", 6, "chi(F(1)) plus h^1(F(1)) = 0 read off the natural table at twist 1"),
+            ("dim of the charge-2 family", 16, "pair space minus fiber"),
+        ),
+    }),
+    "charge5 smooth point": (lambda: smooth_dimension(ChernData(3, 0, 5, 0), stable=True, ext2_vanishes=True), {
+        "chern": [3, 0, 5, 0],
+        "chi_end": -51,
+        "ext_diff": 52,
+        "hypotheses": ["stable", "ext2_vanishes"],
+        "dimension": 52,
+        "derivation": _steps(
+            ("chi(End F)", -51, "Riemann-Roch on the endomorphism bundle"),
+            ("dim Ext^1 - dim Ext^2", 52, "1 - chi(End F) given Hom = C and Ext^3 = 0"),
+            ("dim at a smooth point", 52, "Ext^2 = 0 turns the difference into the dimension"),
+        ),
+    }),
+}
+
+
 def test_report_json_shape():
-    payload = charge2_dimension_chain().to_json_dict()
-    assert payload["chern"] == [3, 0, 2, 0]
-    assert payload["dimension"] == 16
-    assert payload["chi_end"] == -15
-    assert payload["ext_diff"] == 16
-    assert payload["hypotheses"] == ["stable", "ext2_vanishes"]
-    assert [step["value"] for step in payload["derivation"]] == [19, 3, 22, 6, 16]
-    assert all(step["quantity"] and step["provenance"] for step in payload["derivation"])
+    for name, (build, expected) in REPORT_PAYLOADS.items():
+        assert json.dumps(build().to_json_dict()) == json.dumps(expected), name
 
 
 # The two cross-checks raise, so they survive python -O.

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .binomials import binom3, binom3_poly
 from .chowring import ChowClass, degree, exp_line, mul, todd_p3
-from .errors import DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported
+from .errors import DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported, _integers
 
 #: Expansion constants of the closed-form chi cubic.  They mirror the Todd
 #: coefficients used by the ring route but are kept as an independent
@@ -39,6 +39,10 @@ class ChernData:
     c3: int
 
     def __post_init__(self) -> None:
+        if not type(self.rank) is type(self.c1) is type(self.c2) is type(self.c3) is int:
+            ints = _integers((self.rank, self.c1, self.c2, self.c3), "rank and Chern classes")
+            for name, value in zip(("rank", "c1", "c2", "c3"), ints):
+                object.__setattr__(self, name, value)
         if self.rank < 1:
             raise DomainError(f"rank must be a positive integer, got {self.rank}")
 
@@ -57,10 +61,6 @@ class ChiPolynomial:
         den = math.lcm(*(c.denominator for c in self.coeffs))
         n0, n1, n2, n3 = (c.numerator * (den // c.denominator) for c in self.coeffs)
         return Fraction(((n3 * m + n2) * m + n1) * m + n0, den)
-
-    @property
-    def leading(self) -> Fraction:
-        return self.coeffs[3]
 
 
 def _as_int(value: Fraction, exc_type: type, what: str) -> int:

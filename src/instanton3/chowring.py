@@ -37,23 +37,6 @@ class ChowClass:
         k = Fraction(k)
         return ChowClass(k * self.a0, k * self.a1, k * self.a2, k * self.a3)
 
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        return add(self, other)
-
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        return add(self, other.scale(-1))
-
-    def __neg__(self) -> "ChowClass":
-        return self.scale(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, ChowClass):
-            return mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
 
 ONE = ChowClass(1, 0, 0, 0)
 

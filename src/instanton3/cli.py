@@ -22,7 +22,7 @@ from .chern import ChernData, euler_characteristic
 from .cohomtable import natural_table
 from .errors import DomainError, NotNaturalizable, ToolkitError
 from .spectrum import MAX_SEARCH_SPACE, enumerate_spectra, h1_from_spectrum, h2_from_spectrum, is_instanton_spectrum
-from .verify import report_json_dict, report_text, run_all
+from .verify import _jsonable, report_json_dict, report_text, run_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -51,7 +51,7 @@ def cmd_chi(args: argparse.Namespace) -> int:
     _check_twist(args.m, "m")
     chi = euler_characteristic(data, args.m)
     if args.format == "json":
-        _print_json({"chern": [data.rank, data.c1, data.c2, data.c3], "m": args.m, "chi": chi})
+        _print_json({"chern": _jsonable(data), "m": args.m, "chi": chi})
     else:
         print(chi)
     return EXIT_OK

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .chern import ChernData, chern_from_character, chi_numerators, dual, validate_parity
-from .chowring import ONE, exp_line
+from .chowring import ONE, add, exp_line
 from .errors import DomainError, MissingRows, NonIntegralChi, NotNaturalizable, ParityViolation
 
 Row = tuple[int, int, int, int]
@@ -53,7 +53,7 @@ class MonadType:
 
 def monad_chern(mt: MonadType) -> ChernData:
     """Chern data of the monad cohomology: ch = b - a*exp(-H) - c*exp(H)."""
-    character = mt.b * ONE - mt.a * exp_line(-1) - mt.c * exp_line(1)
+    character = add(add(ONE.scale(mt.b), exp_line(-1).scale(-mt.a)), exp_line(1).scale(-mt.c))
     return chern_from_character(character, mt.b - mt.a - mt.c)
 
 

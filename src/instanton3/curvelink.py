@@ -31,12 +31,11 @@ DET_TWIST = 3
 
 @dataclass(frozen=True)
 class CurveInvariants:
-    """Degree and genus of a space curve, plus caller-asserted geometry flags."""
+    """Degree and genus of a space curve, plus a caller-asserted rationality flag."""
 
     d: int
     g: int
     rational: bool = False
-    nondegenerate: bool = False
 
     def __post_init__(self) -> None:
         if self.d < 1:

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer check that raises one."""
 
 
 class ToolkitError(Exception):
@@ -50,3 +50,14 @@ class ConsistencyError(ToolkitError):
 
 class MissingHypothesis(ToolkitError):
     """A conclusion was requested without asserting a hypothesis it depends on."""
+
+
+def _integers(values: tuple, what: str) -> tuple[int, ...]:
+    """``values`` as ints when each is integer-valued (-1.0, Fraction(2)); DomainError otherwise."""
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
+        raise DomainError(f"{what} must be integers, got {values}")
+    return ints

@@ -53,19 +53,6 @@ class ModuliReport:
         if self.dimension is not None and self.dimension != self.ext_diff:
             raise DomainError("the reported dimension must equal the Ext difference")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "chern": [self.chern.rank, self.chern.c1, self.chern.c2, self.chern.c3],
-            "chi_end": self.chi_end,
-            "ext_diff": self.ext_diff,
-            "hypotheses": list(self.hypotheses),
-            "dimension": self.dimension,
-            "derivation": [
-                {"quantity": s.quantity, "value": s.value, "provenance": s.provenance}
-                for s in self.derivation
-            ],
-        }
-
 
 def _ext_difference_closed_form(d: ChernData) -> int:
     """The closed form -4*c1^2 + 12*c2 - 8 alone, with no cross-check."""

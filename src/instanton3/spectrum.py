@@ -9,11 +9,10 @@ on which tuples occur for actual sheaves are out of scope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainError, OutOfValidityRange
+from .errors import DomainError, OutOfValidityRange, _integers
 
 #: The shift applied to each spectrum entry inside both cohomology formulas:
 #: the P^1 line-bundle degree read off at twist l is k_i + l + TWIST_SHIFT.
@@ -31,19 +30,10 @@ class Spectrum:
     ks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        raw = tuple(self.ks)
-        ks = tuple(map(int, raw))
-        if ks != raw:
-            raise DomainError(f"spectrum entries must be integers, got {raw}")
+        ks = _integers(tuple(self.ks), "spectrum entries")
         object.__setattr__(self, "ks", ks)
         if any(a > b for a, b in zip(ks, ks[1:])):
             raise DomainError(f"spectrum entries must be nondecreasing, got {self.ks}")
-
-    def __len__(self) -> int:
-        return len(self.ks)
-
-    def __iter__(self):
-        return iter(self.ks)
 
 
 @dataclass(frozen=True)
@@ -64,11 +54,6 @@ class SpectrumContext:
             raise DomainError(f"the h^1 correction term cannot be negative, got {self.s}")
         if self.a_low > self.a_high:
             raise DomainError(f"need a_low <= a_high, got {self.a_low} > {self.a_high}")
-
-    @classmethod
-    def for_bundle(cls, a_low: int = 0, a_high: int = 0) -> "SpectrumContext":
-        """Context of a locally free sheaf: the correction term is zero."""
-        return cls(0, a_low, a_high)
 
 
 #: Locally free with generic splitting type (0, ..., 0).
@@ -147,9 +132,14 @@ def enumerate_spectra(n: int, bound: int) -> list[Spectrum]:
         raise DomainError(f"spectrum length must be positive, got {n}")
     if bound < 1:
         raise DomainError(f"entry bound must be positive, got {bound}")
-    if math.comb(2 * bound + n, n) > MAX_SEARCH_SPACE:
-        raise DomainError(
-            f"enumerating length-{n} spectra with bound {bound} exceeds the "
-            f"search-space ceiling of {MAX_SEARCH_SPACE} candidates"
-        )
+    # C(2*bound + n, n) one factor at a time: after step i, count is
+    # C(top + i, i), which never decreases, so stop once it is past the ceiling.
+    top, count = max(n, 2 * bound), 1
+    for i in range(1, min(n, 2 * bound) + 1):
+        count = count * (top + i) // i
+        if count > MAX_SEARCH_SPACE:
+            raise DomainError(
+                f"enumerating length-{n} spectra with bound {bound} exceeds the "
+                f"search-space ceiling of {MAX_SEARCH_SPACE} candidates"
+            )
     return [Spectrum(ks) for ks in _zero_sum_tuples(n, bound)]

@@ -14,7 +14,7 @@ tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from itertools import product, starmap
@@ -46,6 +46,7 @@ from .curvelink import (
     thooft_threshold,
 )
 from .errors import ParityViolation
+from .moduli import DerivationStep, ModuliReport
 from .moduli import _ext_difference_closed_form, charge2_dimension_chain, ext_difference, smooth_dimension
 from .spectrum import Spectrum, enumerate_spectra, h1_from_spectrum, h2_from_spectrum, is_instanton_spectrum
 
@@ -527,6 +528,8 @@ def _jsonable(value):
         return [value.d, value.g]
     if isinstance(value, Spectrum):
         return list(value.ks)
+    if isinstance(value, (ModuliReport, DerivationStep)):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):

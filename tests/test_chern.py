@@ -1,5 +1,6 @@
 """Chern arithmetic: characters, twists, duals, and the two chi routes."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from instanton3.chern import (
 )
 from instanton3.chowring import ChowClass, degree, exp_line, mul, todd_p3
 from instanton3.errors import DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported
+from instanton3.verify import _jsonable
 
 CHARGE2 = ChernData(3, 0, 2, 0)
 
@@ -115,6 +117,27 @@ def test_rank_must_be_positive():
         ChernData(0, 0, 0, 0)
     with pytest.raises(ValueError):
         ChernData(-3, 0, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(3.5, 0, 2, 0), (3, 0.5, 2, 0), (3, 0, 2.5, 0), (3, 0, 2, Fraction(1, 2)), ("3", 0, 2, 0),
+     (3, None, 2, 0), (3, 0, math.inf, 0), (math.nan, 0, 2, 0)],
+)
+def test_chern_data_rejects_non_integer_entries(args):
+    # A DomainError at construction, not a misleading NonIntegralChi or a
+    # TypeError from the arithmetic later on.
+    with pytest.raises(DomainError) as excinfo:
+        ChernData(*args)
+    assert str(excinfo.value) == f"rank and Chern classes must be integers, got {args}"
+
+
+def test_chern_data_stores_integer_valued_entries_as_int():
+    d = ChernData(3.0, -0.0, Fraction(2), Fraction(0))
+    assert d == CHARGE2
+    assert all(type(v) is int for v in (d.rank, d.c1, d.c2, d.c3))
+    assert json.dumps(_jsonable(d)) == "[3, 0, 2, 0]"
+    assert euler_characteristic(d, 1) == 6
 
 
 # Duals and twists.
@@ -254,7 +277,7 @@ def test_chi_polynomial_matches_ring_route(d, m):
 
 @given(chern_data)
 def test_chi_polynomial_leading_coefficient(d):
-    assert chi_polynomial(d).leading == Fraction(d.rank, 6)
+    assert chi_polynomial(d).coeffs[3] == Fraction(d.rank, 6)
 
 
 @given(st.tuples(*[st.fractions(max_denominator=10 ** 6)] * 4), wide_twists)

@@ -1,5 +1,6 @@
 """Command-line behavior: output bytes, JSON shapes, and exit codes."""
 
+import ast
 import json
 import shutil
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import instanton3
 from instanton3 import (
     ONE,
     ChernData,
@@ -205,6 +207,19 @@ def test_verify_paper_passes_under_python_O():
     )
     assert proc.returncode == cli.EXIT_OK
     assert proc.stdout.splitlines()[-1] == "49 claims: 49 passed, 0 failed"
+
+
+def test_package_source_has_no_assert_statements():
+    # python -O strips assert statements, so every invariant must raise instead.
+    modules = sorted(Path(instanton3.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_verify_paper_json(capsys):

@@ -36,7 +36,7 @@ def test_curve_invariants_validation():
         CurveInvariants(0, 0)
     with pytest.raises(ValueError):
         CurveInvariants(3, 1, rational=True)
-    cv = CurveInvariants(5, 0, rational=True, nondegenerate=True)
+    cv = CurveInvariants(5, 0, rational=True)
     assert (cv.d, cv.g) == (5, 0)
 
 

@@ -1,12 +1,15 @@
 """Spectrum arithmetic: P^1 cohomology sums and the zero-sum enumeration."""
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from time import perf_counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from instanton3 import spectrum
 from instanton3.errors import DomainError, OutOfValidityRange
 from instanton3.spectrum import (
     BALANCED_BUNDLE,
@@ -40,14 +43,14 @@ def test_spectrum_requires_nondecreasing_entries():
     with pytest.raises(ValueError):
         Spectrum((1, -1))
     sp = Spectrum((-1, 0, 1))
-    assert len(sp) == 3
-    assert list(sp) == [-1, 0, 1]
+    assert sp.ks == (-1, 0, 1)
 
 
-@pytest.mark.parametrize("ks", [(-0.5, 0.5), (1.9, 2.7)])
+@pytest.mark.parametrize("ks", [(-0.5, 0.5), (1.9, 2.7), ("x",), (math.inf,), (None,), (math.nan,), (0, "1")])
 def test_spectrum_rejects_non_integer_entries(ks):
-    with pytest.raises(DomainError, match="must be integers"):
+    with pytest.raises(DomainError) as excinfo:
         Spectrum(ks)
+    assert str(excinfo.value) == f"spectrum entries must be integers, got {ks}"
 
 
 def test_spectrum_accepts_integer_valued_entries():
@@ -61,7 +64,7 @@ def test_context_validation():
         SpectrumContext(s=-1)
     with pytest.raises(ValueError):
         SpectrumContext(a_low=1, a_high=0)
-    assert SpectrumContext.for_bundle(-1, 2).s == 0
+    assert SpectrumContext(a_low=-1, a_high=2).s == 0
     assert BALANCED_BUNDLE == SpectrumContext(0, 0, 0)
 
 
@@ -83,12 +86,12 @@ def test_zero_pair_predictions():
 
 @given(spectra, st.integers(min_value=-12, max_value=-1))
 def test_h1_matches_direct_sum(sp, l):
-    assert h1_from_spectrum(sp, l) == sum(max(0, k + l + 2) for k in sp)
+    assert h1_from_spectrum(sp, l) == sum(max(0, k + l + 2) for k in sp.ks)
 
 
 @given(spectra, st.integers(min_value=-3, max_value=12))
 def test_h2_matches_direct_sum(sp, l):
-    assert h2_from_spectrum(sp, l) == sum(max(0, -k - l - 2) for k in sp)
+    assert h2_from_spectrum(sp, l) == sum(max(0, -k - l - 2) for k in sp.ks)
 
 
 @given(spectra, st.integers(min_value=-12, max_value=-2))
@@ -103,7 +106,7 @@ def test_h2_is_nonincreasing_in_the_twist(sp, l):
 
 @given(spectra, st.integers(min_value=-3, max_value=12))
 def test_h2_mirrors_h1_of_the_negated_spectrum(sp, l):
-    mirror = Spectrum(tuple(sorted(-k for k in sp)))
+    mirror = Spectrum(tuple(sorted(-k for k in sp.ks)))
     assert h2_from_spectrum(sp, l) == h1_from_spectrum(mirror, -4 - l)
 
 
@@ -185,6 +188,27 @@ def test_enumeration_refuses_boxes_past_the_search_space_ceiling():
     assert [sp.ks for sp in enumerate_spectra(1, (MAX_SEARCH_SPACE - 1) // 2)] == [(0,)]
     with pytest.raises(DomainError):
         enumerate_spectra(1, MAX_SEARCH_SPACE // 2)
+
+
+@pytest.mark.parametrize("ceiling", [1, 2, 9, 10, 35, 36, 100])
+def test_enumeration_ceiling_matches_the_binomial(monkeypatch, ceiling):
+    monkeypatch.setattr(spectrum, "MAX_SEARCH_SPACE", ceiling)
+    for n, bound in product(range(1, 8), range(1, 8)):
+        if math.comb(2 * bound + n, n) > ceiling:
+            with pytest.raises(DomainError, match="search-space ceiling"):
+                enumerate_spectra(n, bound)
+        else:
+            assert [sp.ks for sp in enumerate_spectra(n, bound)] == filtered_box(n, bound)
+
+
+@pytest.mark.parametrize("n,bound", [(10 ** 9, 10 ** 9), (1, 10 ** 9), (10 ** 9, 1)])
+def test_enumeration_refuses_a_huge_box_at_once(n, bound):
+    # math.comb(3*10^9, 10^9) alone would not finish; the refusal must stop
+    # building the binomial as soon as it passes the ceiling.
+    start = perf_counter()
+    with pytest.raises(DomainError, match="search-space ceiling"):
+        enumerate_spectra(n, bound)
+    assert perf_counter() - start < 0.1
 
 
 def filtered_box(n, bound):

@@ -148,10 +148,33 @@ def test_library_preconditions_raise_domain_errors(call):
     assert isinstance(info.value, ValueError)
 
 
-def test_table_refuses_huge_twists(capsys):
-    rc, _, err = run_cli(capsys, "table", "3", "0", "2", "0", "-200", "1")
-    assert rc == cli.EXIT_USAGE
-    assert "out of range" in err
+# Each refusal, byte for byte.  Where several bounds fail at once, the order
+# decides the message: rank, then twist or window bound, then empty window,
+# then parity; for spectra n, then bound, then the search-space ceiling.
+REFUSALS = {
+    "chi 3 0 2 0 --m 101": "m = 101 is out of range; |m| must be at most 100",
+    "chi 3 0 2 1 --m 200": "m = 200 is out of range; |m| must be at most 100",
+    "chi 0 0 0 0 --m 200": "rank must be a positive integer, got 0",
+    "table 3 0 2 0 -200 1": "t_min = -200 is out of range; |t_min| must be at most 100",
+    "table 3 0 2 0 1 200": "t_max = 200 is out of range; |t_max| must be at most 100",
+    "table 3 0 2 0 200 -200": "t_min = 200 is out of range; |t_min| must be at most 100",
+    "table 3 0 2 1 -200 1": "t_min = -200 is out of range; |t_min| must be at most 100",
+    "table 3 0 2 1 1 0": "empty twist window: t_min = 1 exceeds t_max = 0",
+    "spectra 0": "spectrum length must be positive, got 0",
+    "spectra 0 --bound 200": "spectrum length must be positive, got 0",
+    "spectra 0 --bound 0": "spectrum length must be positive, got 0",
+    "spectra 2 --bound 0": "bound must be between 1 and 100, got 0",
+    "spectra 2 --bound 101": "bound must be between 1 and 100, got 101",
+    "spectra 1 --bound 101": "bound must be between 1 and 100, got 101",
+    "spectra 8 --bound 100": (
+        "enumerating length-8 spectra with bound 100 exceeds the search-space ceiling of 1000000 candidates"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS.items(), ids=REFUSALS.keys())
+def test_refusal_bytes(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (cli.EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_spectra_text(capsys):
@@ -177,9 +200,6 @@ def test_spectra_json(capsys):
 
 
 def test_spectra_argument_validation(capsys):
-    assert run_cli(capsys, "spectra", "0")[0] == cli.EXIT_USAGE
-    assert run_cli(capsys, "spectra", "2", "--bound", "0")[0] == cli.EXIT_USAGE
-    assert run_cli(capsys, "spectra", "2", "--bound", "101")[0] == cli.EXIT_USAGE
     rc, _, err = run_cli(capsys, "spectra", "12", "--bound", "100")
     assert rc == cli.EXIT_USAGE
     assert "search-space" in err

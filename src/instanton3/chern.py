@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .binomials import binom3, binom3_poly
 from .chowring import ChowClass, degree, exp_line, mul, todd_p3
-from .errors import DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported, _integers
+from .errors import DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported, _integers, _twist
 
 #: Expansion constants of the closed-form chi cubic.  They mirror the Todd
 #: coefficients used by the ring route but are kept as an independent
@@ -125,7 +125,8 @@ def chi_numerators(d: ChernData) -> tuple[tuple[int, int, int, int], int]:
 
 
 def chi_values(d: ChernData, twists: Iterable[int]) -> list[int]:
-    """chi(F(m)) at each twist m from one ring product; NonIntegralChi at the first non-integer."""
+    """chi(F(m)) at each twist |m| <= MAX_TWIST from one ring product; NonIntegralChi at the first non-integer."""
+    twists = [_twist(m, "m") for m in twists]
     (n0, n1, n2, n3), den = chi_numerators(d)
     values = []
     for m in twists:

@@ -20,17 +20,14 @@ from typing import Sequence
 
 from .chern import ChernData, euler_characteristic
 from .cohomtable import natural_table
-from .errors import DomainError, NotNaturalizable, ToolkitError
-from .spectrum import MAX_SEARCH_SPACE, enumerate_spectra, h1_from_spectrum, h2_from_spectrum, is_instanton_spectrum
+from .errors import NotNaturalizable, ToolkitError
+from .spectrum import enumerate_spectra, h1_from_spectrum, h2_from_spectrum, is_instanton_spectrum
 from .verify import _jsonable, report_json_dict, report_text, run_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_MODEL = 3
-
-#: Twist magnitudes past this produce tables nobody reads; refuse them.
-MAX_TWIST = 100
 
 
 def _print_json(payload: dict) -> None:
@@ -41,14 +38,8 @@ def _chern_from_args(args: argparse.Namespace) -> ChernData:
     return ChernData(args.rank, args.c1, args.c2, args.c3)
 
 
-def _check_twist(value: int, name: str) -> None:
-    if abs(value) > MAX_TWIST:
-        raise DomainError(f"{name} = {value} is out of range; |{name}| must be at most {MAX_TWIST}")
-
-
 def cmd_chi(args: argparse.Namespace) -> int:
     data = _chern_from_args(args)
-    _check_twist(args.m, "m")
     chi = euler_characteristic(data, args.m)
     if args.format == "json":
         _print_json({"chern": _jsonable(data), "m": args.m, "chi": chi})
@@ -59,8 +50,6 @@ def cmd_chi(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     data = _chern_from_args(args)
-    _check_twist(args.t_min, "t_min")
-    _check_twist(args.t_max, "t_max")
     tbl = natural_table(data, args.t_min, args.t_max)
     if args.format == "json":
         _print_json(tbl.to_json_dict())
@@ -70,10 +59,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_spectra(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise DomainError(f"spectrum length must be positive, got {args.n}")
-    if not 1 <= args.bound <= MAX_TWIST:
-        raise DomainError(f"bound must be between 1 and {MAX_TWIST}, got {args.bound}")
     found = enumerate_spectra(args.n, args.bound)
     entries = []
     for sp in found:

@@ -31,7 +31,7 @@ from typing import Mapping
 
 from .chern import ChernData, chern_from_character, chi_numerators, dual, validate_parity
 from .chowring import ONE, add, exp_line
-from .errors import DomainError, MissingRows, NonIntegralChi, NotNaturalizable, ParityViolation
+from .errors import MAX_TWIST, DomainError, MissingRows, NonIntegralChi, NotNaturalizable, ParityViolation, _integers, _twist
 
 Row = tuple[int, int, int, int]
 
@@ -45,6 +45,8 @@ class MonadType:
     c: int
 
     def __post_init__(self) -> None:
+        for name, value in zip("abc", _integers((self.a, self.b, self.c), "monad multiplicities")):
+            object.__setattr__(self, name, value)
         if min(self.a, self.b, self.c) < 0:
             raise DomainError(f"monad multiplicities cannot be negative: {(self.a, self.b, self.c)}")
         if self.b - self.a - self.c < 1:
@@ -88,13 +90,14 @@ class CohomTable:
 
 
 def natural_table(d: ChernData, t_min: int, t_max: int) -> CohomTable:
-    """The unique candidate table over [t_min, t_max] under natural cohomology.
+    """The unique candidate table over [t_min, t_max], |t| <= MAX_TWIST, under natural cohomology.
 
     Raises ParityViolation for rank-3 classes with c3 - c1*c2 odd, and
     NotNaturalizable when the chi cubic has fewer than three sign-change
     roots: the index walk then cannot descend from the h^3 region to the
     h^0 region, so no sheaf-style table exists at all.
     """
+    t_min, t_max = _twist(t_min, "t_min"), _twist(t_max, "t_max")
     if t_min > t_max:
         raise DomainError(f"empty twist window: t_min = {t_min} exceeds t_max = {t_max}")
     if d.rank == 3 and not validate_parity(d):
@@ -155,7 +158,14 @@ def instanton_check(tbl: CohomTable) -> bool:
 
 
 def serre_symmetry_check(d: ChernData, t_min: int, t_max: int) -> bool:
-    """Whether h^i(F(t)) = h^(3-i)(F-dual(-t-4)) holds across the whole range."""
+    """Whether h^i(F(t)) = h^(3-i)(F-dual(-t-4)) holds across the whole range.
+
+    Both ends need -MAX_TWIST <= t <= MAX_TWIST - 4 (-100..96), so the mirrored window fits too.
+    """
+    t_min, t_max = _twist(t_min, "t_min"), _twist(t_max, "t_max")
+    for name, t in (("t_min", t_min), ("t_max", t_max)):
+        if t > MAX_TWIST - 4:
+            raise DomainError(f"{name} = {t} is out of range; Serre symmetry needs {name} <= {MAX_TWIST - 4}")
     left = natural_table(d, t_min, t_max)
     right = natural_table(dual(d), -t_max - 4, -t_min - 4)
     for t in range(t_min, t_max + 1):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .binomials import binom3
 from .chern import ChernData, euler_characteristic, validate_parity
-from .errors import DomainError, ParityViolation, RankUnsupported
+from .errors import DomainError, ParityViolation, RankUnsupported, _integers
 
 #: Weights of (c3, c2, c1*c2) on the left side of "... = 2g - 2".
 GENUS_RELATION = (1, -4, 1)
@@ -38,6 +38,9 @@ class CurveInvariants:
     rational: bool = False
 
     def __post_init__(self) -> None:
+        if not type(self.d) is type(self.g) is int:
+            for name, value in zip("dg", _integers((self.d, self.g), "curve degree and genus")):
+                object.__setattr__(self, name, value)
         if self.d < 1:
             raise DomainError(f"curve degree must be positive, got {self.d}")
         if self.rational and self.g != 0:

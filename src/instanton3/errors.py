@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the integer check that raises one."""
+"""Exception types shared across the toolkit, and the input checks that raise one."""
 
 
 class ToolkitError(Exception):
@@ -52,12 +52,26 @@ class MissingHypothesis(ToolkitError):
     """A conclusion was requested without asserting a hypothesis it depends on."""
 
 
-def _integers(values: tuple, what: str) -> tuple[int, ...]:
-    """``values`` as ints when each is integer-valued (-1.0, Fraction(2)); DomainError otherwise."""
+#: Largest twist magnitude accepted anywhere: tables past it have rows nobody reads.
+MAX_TWIST = 100
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints when each is integer-valued (-1.0, Fraction(2)); DomainError otherwise."""
     try:
+        values = tuple(values)
         ints = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError):
         ints = None
     if ints != values:
         raise DomainError(f"{what} must be integers, got {values}")
     return ints
+
+
+def _twist(value, name: str) -> int:
+    """``value`` as an int when it is an integer of magnitude at most MAX_TWIST; DomainError otherwise."""
+    if type(value) is not int:
+        (value,) = _integers((value,), name)
+    if -MAX_TWIST <= value <= MAX_TWIST:
+        return value
+    raise DomainError(f"{name} = {value} is out of range; |{name}| must be at most {MAX_TWIST}")

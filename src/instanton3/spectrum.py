@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DomainError, OutOfValidityRange, _integers
+from .errors import MAX_TWIST, DomainError, OutOfValidityRange, _integers
 
 #: The shift applied to each spectrum entry inside both cohomology formulas:
 #: the P^1 line-bundle degree read off at twist l is k_i + l + TWIST_SHIFT.
@@ -30,7 +30,7 @@ class Spectrum:
     ks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ks = _integers(tuple(self.ks), "spectrum entries")
+        ks = _integers(self.ks, "spectrum entries")
         object.__setattr__(self, "ks", ks)
         if any(a > b for a, b in zip(ks, ks[1:])):
             raise DomainError(f"spectrum entries must be nondecreasing, got {self.ks}")
@@ -125,13 +125,15 @@ def enumerate_spectra(n: int, bound: int) -> list[Spectrum]:
     """All nondecreasing integer n-tuples with zero sum and entries in [-bound, bound].
 
     Returned in lexicographic order.  Only the stated arithmetic constraints
-    are imposed.  Boxes of more than MAX_SEARCH_SPACE candidates are refused,
-    counting the whole box even though only zero-sum tuples are built.
+    are imposed.  Needs n >= 1 and 1 <= bound <= MAX_TWIST; boxes of more than
+    MAX_SEARCH_SPACE candidates are refused, counting the whole box.
     """
+    (n,) = _integers((n,), "spectrum length")
     if n < 1:
         raise DomainError(f"spectrum length must be positive, got {n}")
-    if bound < 1:
-        raise DomainError(f"entry bound must be positive, got {bound}")
+    (bound,) = _integers((bound,), "bound")
+    if not 1 <= bound <= MAX_TWIST:
+        raise DomainError(f"bound must be between 1 and {MAX_TWIST}, got {bound}")
     # C(2*bound + n, n) one factor at a time: after step i, count is
     # C(top + i, i), which never decreases, so stop once it is past the ceiling.
     top, count = max(n, 2 * bound), 1

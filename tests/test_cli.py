@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,16 @@ from instanton3 import (
     Spectrum,
     SpectrumContext,
     ToolkitError,
+    chern,
     chern_from_character,
     cli,
+    enumerate_spectra,
+    euler_characteristic,
+    mul,
+    natural_table,
+    serre_symmetry_check,
 )
+from instanton3.chern import chi_values
 
 CHARGE2_TABLE = "\n".join(
     [
@@ -120,32 +128,91 @@ def test_library_validation_error_is_a_usage_error(capsys):
 
 # main reports ToolkitError alone, so every precondition the library checks
 # raises DomainError, which is also a ValueError for callers catching that.
+# Each is refused before any ring product; the accepted edges (refusal None)
+# are the last values inside each bound.
 
 _CHARGE2 = ChernData(3, 0, 2, 0)
+_OUT_OF_RANGE = "{0} = {1} is out of range; |{0}| must be at most 100"
 PRECONDITIONS = {
-    "rank": lambda: ChernData(0, 0, 0, 0),
-    "character rank": lambda: chern_from_character(ONE, 0),
-    "character degree 0": lambda: chern_from_character(ONE, 2),
-    "monad multiplicities": lambda: MonadType(-1, 2, 0),
-    "monad rank": lambda: MonadType(1, 2, 1),
-    "cubic degree": lambda: CubicSignAnalysis((1, 2)),
-    "curve degree": lambda: CurveInvariants(0, 0),
-    "rational genus": lambda: CurveInvariants(3, 1, rational=True),
-    "stable Ext difference": lambda: ModuliReport(_CHARGE2, -15, 15, ("stable",), None, ()),
-    "dimension without Ext^2": lambda: ModuliReport(_CHARGE2, -15, 16, (), 16, ()),
-    "dimension vs Ext difference": lambda: ModuliReport(_CHARGE2, -15, 16, ("ext2_vanishes",), 15, ()),
-    "spectrum order": lambda: Spectrum((1, -1)),
-    "correction term": lambda: SpectrumContext(s=-1),
-    "splitting bounds": lambda: SpectrumContext(a_low=1, a_high=0),
+    "rank": (lambda: ChernData(0, 0, 0, 0), "rank must be a positive integer, got 0"),
+    "character rank": (lambda: chern_from_character(ONE, 0), "rank must be a positive integer, got 0"),
+    "character degree 0": (lambda: chern_from_character(ONE, 2), "degree-0 coefficient 1 does not match rank 2"),
+    "monad multiplicities": (lambda: MonadType(-1, 2, 0), "monad multiplicities cannot be negative: (-1, 2, 0)"),
+    "monad rank": (lambda: MonadType(1, 2, 1), "monad cohomology must have positive rank, got 0"),
+    "cubic degree": (lambda: CubicSignAnalysis((1, 2)), "need a cubic, got degree 1"),
+    "curve degree": (lambda: CurveInvariants(0, 0), "curve degree must be positive, got 0"),
+    "rational genus": (lambda: CurveInvariants(3, 1, rational=True), "a rational curve has genus 0, got 1"),
+    "stable Ext difference": (
+        lambda: ModuliReport(_CHARGE2, -15, 15, ("stable",), None, ()),
+        "under stability the Ext difference must be 1 - chi(End)",
+    ),
+    "dimension without Ext^2": (
+        lambda: ModuliReport(_CHARGE2, -15, 16, (), 16, ()),
+        "a dimension is reported exactly when Ext^2 vanishing is assumed",
+    ),
+    "dimension vs Ext difference": (
+        lambda: ModuliReport(_CHARGE2, -15, 16, ("ext2_vanishes",), 15, ()),
+        "the reported dimension must equal the Ext difference",
+    ),
+    "spectrum order": (lambda: Spectrum((1, -1)), "spectrum entries must be nondecreasing, got (1, -1)"),
+    "correction term": (lambda: SpectrumContext(s=-1), "the h^1 correction term cannot be negative, got -1"),
+    "splitting bounds": (lambda: SpectrumContext(a_low=1, a_high=0), "need a_low <= a_high, got 1 > 0"),
+    "twist above": (lambda: euler_characteristic(_CHARGE2, 101), _OUT_OF_RANGE.format("m", 101)),
+    "twist below": (lambda: euler_characteristic(_CHARGE2, -101), _OUT_OF_RANGE.format("m", -101)),
+    "sweep twist above": (lambda: chi_values(_CHARGE2, [0, 101]), _OUT_OF_RANGE.format("m", 101)),
+    "sweep twist below": (lambda: chi_values(_CHARGE2, [-101, 0]), _OUT_OF_RANGE.format("m", -101)),
+    "t_min below": (lambda: natural_table(_CHARGE2, -101, 0), _OUT_OF_RANGE.format("t_min", -101)),
+    "t_min above": (lambda: natural_table(_CHARGE2, 101, 101), _OUT_OF_RANGE.format("t_min", 101)),
+    "t_max below": (lambda: natural_table(_CHARGE2, -100, -101), _OUT_OF_RANGE.format("t_max", -101)),
+    "t_max above": (lambda: natural_table(_CHARGE2, 0, 101), _OUT_OF_RANGE.format("t_max", 101)),
+    "bound 0": (lambda: enumerate_spectra(2, 0), "bound must be between 1 and 100, got 0"),
+    "bound 101": (lambda: enumerate_spectra(2, 101), "bound must be between 1 and 100, got 101"),
+    "Serre t_min below": (lambda: serre_symmetry_check(_CHARGE2, -101, 0), _OUT_OF_RANGE.format("t_min", -101)),
+    "Serre t_max above": (
+        lambda: serre_symmetry_check(_CHARGE2, -100, 97),
+        "t_max = 97 is out of range; Serre symmetry needs t_max <= 96",
+    ),
+    "fractional twist": (lambda: euler_characteristic(_CHARGE2, 0.5), "m must be integers, got (0.5,)"),
+    "string sweep twist": (lambda: chi_values(_CHARGE2, [0, "1"]), "m must be integers, got ('1',)"),
+    "fractional t_min": (lambda: natural_table(_CHARGE2, -1.5, 1), "t_min must be integers, got (-1.5,)"),
+    "fractional t_max": (lambda: natural_table(_CHARGE2, -1, 0.5), "t_max must be integers, got (0.5,)"),
+    "fractional length": (lambda: enumerate_spectra(1.5, 2), "spectrum length must be integers, got (1.5,)"),
+    "fractional bound": (lambda: enumerate_spectra(2, 1.5), "bound must be integers, got (1.5,)"),
+    "fractional monad": (lambda: MonadType(0.5, 7, 2), "monad multiplicities must be integers, got (0.5, 7, 2)"),
+    "fractional curve": (lambda: CurveInvariants(2.5, 0), "curve degree and genus must be integers, got (2.5, 0)"),
+    "spectrum not a tuple": (lambda: Spectrum(5), "spectrum entries must be integers, got 5"),
+    "edge m = 100": (lambda: euler_characteristic(_CHARGE2, 100), None),
+    "edge m = -100": (lambda: chi_values(_CHARGE2, [-100]), None),
+    "edge window -100..100": (lambda: natural_table(_CHARGE2, -100, 100), None),
+    "edge Serre window -100..96": (lambda: serre_symmetry_check(_CHARGE2, -100, 96), None),
+    "edge bound 100": (lambda: enumerate_spectra(1, 100), None),
 }
 
 
-@pytest.mark.parametrize("call", PRECONDITIONS.values(), ids=PRECONDITIONS.keys())
-def test_library_preconditions_raise_domain_errors(call):
+@pytest.mark.parametrize("call,refusal", PRECONDITIONS.values(), ids=PRECONDITIONS.keys())
+def test_library_preconditions_raise_domain_errors(monkeypatch, call, refusal):
+    products = []
+    monkeypatch.setattr(chern, "mul", lambda x, y: products.append(1) or mul(x, y))
+    if refusal is None:
+        call()
+        return
     with pytest.raises(DomainError) as info:
         call()
+    assert str(info.value) == refusal
     assert isinstance(info.value, ToolkitError)
     assert isinstance(info.value, ValueError)
+    assert products == []
+
+
+def test_integer_valued_scalar_inputs_are_stored_as_int():
+    chi = euler_characteristic(_CHARGE2, 1.0)
+    assert (chi, type(chi)) == (6, int)
+    assert [type(t) for t in natural_table(_CHARGE2, -1.0, Fraction(0)).rows] == [int, int]
+    assert [sp.ks for sp in enumerate_spectra(2.0, Fraction(1))] == [(-1, 1), (0, 0)]
+    assert [type(v) for v in vars(MonadType(2.0, 7, Fraction(2))).values()] == [int, int, int]
+    assert serre_symmetry_check(_CHARGE2, -10.0, Fraction(6))
+    curve = CurveInvariants(5.0, -0.0)
+    assert [type(curve.d), type(curve.g)] == [int, int]
 
 
 # Each refusal, byte for byte.  Where several bounds fail at once, the order
@@ -207,7 +274,7 @@ def test_spectra_argument_validation(capsys):
         cli.EXIT_USAGE,
         "",
         "error: enumerating length-8 spectra with bound 100 exceeds the "
-        f"search-space ceiling of {cli.MAX_SEARCH_SPACE} candidates\n",
+        f"search-space ceiling of {instanton3.spectrum.MAX_SEARCH_SPACE} candidates\n",
     )
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: output bytes, JSON shapes, and exit codes."""
 
 import ast
+import hashlib
 import json
 import shutil
 import subprocess
@@ -253,17 +254,53 @@ def test_spectra_text(capsys):
     )
 
 
-def test_spectra_json(capsys):
-    rc, out, _ = run_cli(capsys, "spectra", "2", "--bound", "1", "--format", "json")
-    assert rc == 0
-    assert json.loads(out) == {
-        "n": 2,
-        "bound": 1,
-        "spectra": [
-            {"ks": [-1, 1], "h1_minus2": 1, "h2_minus2": 1, "instanton": False},
-            {"ks": [0, 0], "h1_minus2": 0, "h2_minus2": 0, "instanton": True},
-        ],
+SPECTRA_2_JSON = """\
+{
+  "bound": 1,
+  "n": 2,
+  "spectra": [
+    {
+      "h1_minus2": 1,
+      "h2_minus2": 1,
+      "instanton": false,
+      "ks": [
+        -1,
+        1
+      ]
+    },
+    {
+      "h1_minus2": 0,
+      "h2_minus2": 0,
+      "instanton": true,
+      "ks": [
+        0,
+        0
+      ]
     }
+  ]
+}
+"""
+
+
+def test_spectra_json(capsys):
+    assert run_cli(capsys, "spectra", "2", "--bound", "1", "--format", "json") == (0, SPECTRA_2_JSON, "")
+
+
+# sha256 and byte count of whole spectra listings, text and JSON.
+SPECTRA_DIGESTS = {
+    "spectra 5 --bound 9": ("925f7fb6cd9608fe3ad8ed5d258c41f627610c3823c565757b81ee552dfbf600", 46061),
+    "spectra 5 --bound 9 --format json": ("24b01466e577edfa1fcce10057ab621a72a260dc654971e7253c232b57e66e24", 157310),
+    "spectra 8 --bound 4": ("cc992d06dd698c776761c6a98eff3ca37244cbe0d043283ea1712562e529432e", 28438),
+    "spectra 8 --bound 4 --format json": ("02a8ad8aaf711a47c7bac80c270b4be4b622f7db8c124cd807b177bae8d5739f", 103174),
+}
+
+
+@pytest.mark.parametrize("argv,digest", SPECTRA_DIGESTS.items(), ids=SPECTRA_DIGESTS.keys())
+def test_spectra_output_digest(capsys, argv, digest):
+    rc, out, err = run_cli(capsys, *argv.split())
+    data = out.encode()
+    assert (rc, err) == (0, "")
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == digest
 
 
 def test_spectra_argument_validation(capsys):

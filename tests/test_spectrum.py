@@ -53,6 +53,13 @@ def test_spectrum_rejects_non_integer_entries(ks):
     assert str(excinfo.value) == f"spectrum entries must be integers, got {ks}"
 
 
+@pytest.mark.parametrize("ks", [(1, 0), (0, 1, 0)])
+def test_spectrum_order_refusal_text(ks):
+    with pytest.raises(DomainError) as excinfo:
+        Spectrum(ks)
+    assert str(excinfo.value) == f"spectrum entries must be nondecreasing, got {ks}"
+
+
 def test_spectrum_accepts_integer_valued_entries():
     ks = Spectrum((-1.0, Fraction(1))).ks
     assert ks == (-1, 1)
@@ -92,6 +99,19 @@ def test_h1_matches_direct_sum(sp, l):
 @given(spectra, st.integers(min_value=-3, max_value=12))
 def test_h2_matches_direct_sum(sp, l):
     assert h2_from_spectrum(sp, l) == sum(max(0, -k - l - 2) for k in sp.ks)
+
+
+@pytest.mark.parametrize("shift", [spectrum.TWIST_SHIFT, 2])
+@given(sp=spectra, l=st.integers(min_value=-12, max_value=12))
+def test_predictions_equal_the_p1_helper_sums(shift, sp, l):
+    # h0_p1/h1_p1 at k + l + TWIST_SHIFT are the oracle, read at call time,
+    # so a corrupted shift moves both sides alike.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "TWIST_SHIFT", shift)
+        if l <= -1:
+            assert h1_from_spectrum(sp, l) == sum(h0_p1(k + l + spectrum.TWIST_SHIFT) for k in sp.ks)
+        if l >= -3:
+            assert h2_from_spectrum(sp, l) == sum(h1_p1(k + l + spectrum.TWIST_SHIFT) for k in sp.ks)
 
 
 @given(spectra, st.integers(min_value=-12, max_value=-2))

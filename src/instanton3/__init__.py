@@ -66,9 +66,7 @@ from .moduli import (
     smooth_dimension,
 )
 from .spectrum import (
-    BALANCED_BUNDLE,
     Spectrum,
-    SpectrumContext,
     enumerate_spectra,
     h0_p1,
     h1_from_spectrum,

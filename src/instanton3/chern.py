@@ -101,9 +101,9 @@ def twist(d: ChernData, k: int) -> ChernData:
     """Chern data of F(k), computed through the character.
 
     Twisting always lands back on integer classes, so the inversion cannot
-    raise for integer input.
+    raise for integer input.  Needs |k| <= MAX_TWIST.
     """
-    return chern_from_character(mul(chern_character(d), exp_line(k)), d.rank)
+    return chern_from_character(mul(chern_character(d), exp_line(_twist(k, "k"))), d.rank)
 
 
 def chi_numerators(d: ChernData) -> tuple[tuple[int, int, int, int], int]:
@@ -176,8 +176,11 @@ def chi_curve_form(c1: int, d: int, g: int, m: int, *, signed_binomials: bool = 
     With the default truncated binomials this matches the cohomological
     derivation and agrees with the Riemann-Roch route whenever m+3 >= 0 and
     m+c1+3 >= 0.  With ``signed_binomials`` the expression is the honest
-    cubic and agrees for every m.
+    cubic and agrees for every m.  Needs integers c1, d, g and |m| <= MAX_TWIST.
     """
+    if not type(c1) is type(d) is type(g) is int:
+        c1, d, g = _integers((c1, d, g), "c1, curve degree and genus")
+    m = _twist(m, "m")
     if d < 1:
         raise DomainError(f"curve degree must be positive, got {d}")
     b = binom3_poly if signed_binomials else binom3

@@ -59,24 +59,24 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_spectra(args: argparse.Namespace) -> int:
-    found = enumerate_spectra(args.n, args.bound)
-    entries = []
-    for sp in found:
-        entries.append(
-            {
-                "ks": list(sp.ks),
-                "h1_minus2": h1_from_spectrum(sp, -2),
-                "h2_minus2": h2_from_spectrum(sp, -2),
-                "instanton": is_instanton_spectrum(sp),
-            }
-        )
+    rows = [
+        (sp.ks, h1_from_spectrum(sp, -2), h2_from_spectrum(sp, -2), is_instanton_spectrum(sp))
+        for sp in enumerate_spectra(args.n, args.bound)
+    ]
     if args.format == "json":
+        entries = [
+            {"ks": list(ks), "h1_minus2": h1, "h2_minus2": h2, "instanton": instanton}
+            for ks, h1, h2, instanton in rows
+        ]
         _print_json({"n": args.n, "bound": args.bound, "spectra": entries})
     else:
-        for entry_ in entries:
-            ks = ",".join(str(k) for k in entry_["ks"])
-            flag = "yes" if entry_["instanton"] else "no"
-            print(f"({ks}): h1(-2)={entry_['h1_minus2']} h2(-2)={entry_['h2_minus2']} instanton={flag}")
+        # Never empty: the all-zero spectrum is always found.
+        print(
+            "\n".join(
+                f"({','.join(map(str, ks))}): h1(-2)={h1} h2(-2)={h2} instanton={'yes' if instanton else 'no'}"
+                for ks, h1, h2, instanton in rows
+            )
+        )
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .binomials import binom3
 from .chern import ChernData, euler_characteristic, validate_parity
-from .errors import DomainError, ParityViolation, RankUnsupported, _integers
+from .errors import DomainError, ParityViolation, RankUnsupported, _integers, _twist
 
 #: Weights of (c3, c2, c1*c2) on the left side of "... = 2g - 2".
 GENUS_RELATION = (1, -4, 1)
@@ -78,6 +78,7 @@ def rational_normal_twist_degree(n: int) -> int:
     determinant has degree 4n + 10; twisting by -3 subtracts 3(n + 3),
     leaving n + 1.
     """
+    (n,) = _integers((n,), "charge")
     if n < 2:
         raise DomainError(f"the construction needs charge n >= 2, got {n}")
     slope, offset = NORMAL_SUMMAND_DEGREE
@@ -95,12 +96,14 @@ def generated_by_two_sections(deg: int) -> bool:
 
 
 def chi_ideal_sheaf(cv: CurveInvariants, t: int) -> int:
-    """chi of the twisted ideal sheaf of the curve: C(t+3, 3) - (d*t + 1 - g)."""
+    """chi of the twisted ideal sheaf of the curve: C(t+3, 3) - (d*t + 1 - g), for |t| <= MAX_TWIST."""
+    t = _twist(t, "t")
     return binom3(t + 3) - (cv.d * t + 1 - cv.g)
 
 
 def thooft_threshold(rank: int) -> int:
     """Sections of F(1) needed to run the charge construction: rank - 1."""
+    (rank,) = _integers((rank,), "rank")
     if rank < 2:
         raise DomainError(f"the section threshold needs rank >= 2, got {rank}")
     return rank - 1

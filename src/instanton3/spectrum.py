@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import MAX_TWIST, DomainError, OutOfValidityRange, _integers
+from .errors import MAX_TWIST, DomainError, OutOfValidityRange, _integers, _twist
 
 #: The shift applied to each spectrum entry inside both cohomology formulas:
 #: the P^1 line-bundle degree read off at twist l is k_i + l + TWIST_SHIFT.
@@ -32,32 +32,8 @@ class Spectrum:
     def __post_init__(self) -> None:
         ks = _integers(self.ks, "spectrum entries")
         object.__setattr__(self, "ks", ks)
-        if any(a > b for a, b in zip(ks, ks[1:])):
+        if list(ks) != sorted(ks):
             raise DomainError(f"spectrum entries must be nondecreasing, got {self.ks}")
-
-
-@dataclass(frozen=True)
-class SpectrumContext:
-    """Validity data for the cohomology formulas.
-
-    ``s`` is the correction term in the h^1 formula (zero for locally free
-    sheaves), and ``a_low <= a_high`` bound the splitting type on a generic
-    line: h^1 is covered for l <= -a_high - 1 and h^2 for l >= a_low - 3.
-    """
-
-    s: int = 0
-    a_low: int = 0
-    a_high: int = 0
-
-    def __post_init__(self) -> None:
-        if self.s < 0:
-            raise DomainError(f"the h^1 correction term cannot be negative, got {self.s}")
-        if self.a_low > self.a_high:
-            raise DomainError(f"need a_low <= a_high, got {self.a_low} > {self.a_high}")
-
-
-#: Locally free with generic splitting type (0, ..., 0).
-BALANCED_BUNDLE = SpectrumContext()
 
 
 def h0_p1(a: int) -> int:
@@ -70,23 +46,33 @@ def h1_p1(a: int) -> int:
     return max(0, -a - 1)
 
 
-def h1_from_spectrum(sp: Spectrum, l: int, ctx: SpectrumContext = BALANCED_BUNDLE) -> int:
-    """h^1(F(l)) predicted by the spectrum, valid for l <= -a_high - 1."""
-    if l > -ctx.a_high - 1:
-        raise OutOfValidityRange(f"h^1 formula covers l <= {-ctx.a_high - 1}, got l = {l}")
-    return ctx.s + sum(h0_p1(k + l + TWIST_SHIFT) for k in sp.ks)
+# Both predictions assume a locally free sheaf with generic splitting type
+# (0, ..., 0).  They sum h0_p1 and h1_p1 at k + l + TWIST_SHIFT over the
+# entries, written out: with a = l + TWIST_SHIFT + 1, h0_p1 is k + a where
+# positive and h1_p1 is -a - k where positive.
 
 
-def h2_from_spectrum(sp: Spectrum, l: int, ctx: SpectrumContext = BALANCED_BUNDLE) -> int:
-    """h^2(F(l)) predicted by the spectrum, valid for l >= a_low - 3."""
-    if l < ctx.a_low - 3:
-        raise OutOfValidityRange(f"h^2 formula covers l >= {ctx.a_low - 3}, got l = {l}")
-    return sum(h1_p1(k + l + TWIST_SHIFT) for k in sp.ks)
+def h1_from_spectrum(sp: Spectrum, l: int) -> int:
+    """h^1(F(l)) predicted by the spectrum, valid for l <= -1."""
+    l = _twist(l, "l")
+    if l > -1:
+        raise OutOfValidityRange(f"h^1 formula covers l <= -1, got l = {l}")
+    a = l + TWIST_SHIFT + 1
+    return sum(k + a for k in sp.ks if k > -a)
+
+
+def h2_from_spectrum(sp: Spectrum, l: int) -> int:
+    """h^2(F(l)) predicted by the spectrum, valid for l >= -3."""
+    l = _twist(l, "l")
+    if l < -3:
+        raise OutOfValidityRange(f"h^2 formula covers l >= -3, got l = {l}")
+    a = l + TWIST_SHIFT + 1
+    return sum(-a - k for k in sp.ks if k < -a)
 
 
 def is_instanton_spectrum(sp: Spectrum) -> bool:
     """True exactly for the all-zero spectrum: no cohomology in the test window."""
-    return all(k == 0 for k in sp.ks)
+    return not any(sp.ks)
 
 
 def _zero_sum_tuples(n: int, bound: int) -> Iterator[tuple[int, ...]]:

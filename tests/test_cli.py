@@ -21,16 +21,22 @@ from instanton3 import (
     ModuliReport,
     MonadType,
     Spectrum,
-    SpectrumContext,
     ToolkitError,
     chern,
     chern_from_character,
+    chi_curve_form,
+    chi_ideal_sheaf,
     cli,
     enumerate_spectra,
     euler_characteristic,
+    h1_from_spectrum,
+    h2_from_spectrum,
     mul,
     natural_table,
+    rational_normal_twist_degree,
     serre_symmetry_check,
+    thooft_threshold,
+    twist,
 )
 from instanton3.chern import chi_values
 
@@ -133,6 +139,8 @@ def test_library_validation_error_is_a_usage_error(capsys):
 # are the last values inside each bound.
 
 _CHARGE2 = ChernData(3, 0, 2, 0)
+_QUINTIC = CurveInvariants(5, 0)
+_ZERO_PAIR = Spectrum((0, 0))
 _OUT_OF_RANGE = "{0} = {1} is out of range; |{0}| must be at most 100"
 PRECONDITIONS = {
     "rank": (lambda: ChernData(0, 0, 0, 0), "rank must be a positive integer, got 0"),
@@ -156,8 +164,6 @@ PRECONDITIONS = {
         "the reported dimension must equal the Ext difference",
     ),
     "spectrum order": (lambda: Spectrum((1, -1)), "spectrum entries must be nondecreasing, got (1, -1)"),
-    "correction term": (lambda: SpectrumContext(s=-1), "the h^1 correction term cannot be negative, got -1"),
-    "splitting bounds": (lambda: SpectrumContext(a_low=1, a_high=0), "need a_low <= a_high, got 1 > 0"),
     "twist above": (lambda: euler_characteristic(_CHARGE2, 101), _OUT_OF_RANGE.format("m", 101)),
     "twist below": (lambda: euler_characteristic(_CHARGE2, -101), _OUT_OF_RANGE.format("m", -101)),
     "sweep twist above": (lambda: chi_values(_CHARGE2, [0, 101]), _OUT_OF_RANGE.format("m", 101)),
@@ -182,11 +188,32 @@ PRECONDITIONS = {
     "fractional monad": (lambda: MonadType(0.5, 7, 2), "monad multiplicities must be integers, got (0.5, 7, 2)"),
     "fractional curve": (lambda: CurveInvariants(2.5, 0), "curve degree and genus must be integers, got (2.5, 0)"),
     "spectrum not a tuple": (lambda: Spectrum(5), "spectrum entries must be integers, got 5"),
+    "fractional twist k": (lambda: twist(_CHARGE2, 0.5), "k must be integers, got (0.5,)"),
+    "twist k above": (lambda: twist(_CHARGE2, 101), _OUT_OF_RANGE.format("k", 101)),
+    "fractional curve-form class": (
+        lambda: chi_curve_form(0.5, 5, 0, 0),
+        "c1, curve degree and genus must be integers, got (0.5, 5, 0)",
+    ),
+    "fractional curve-form twist": (lambda: chi_curve_form(0, 5, 0, 0.5), "m must be integers, got (0.5,)"),
+    "curve-form twist above": (lambda: chi_curve_form(0, 5, 0, 10 ** 6), _OUT_OF_RANGE.format("m", 10 ** 6)),
+    "fractional ideal twist": (lambda: chi_ideal_sheaf(_QUINTIC, 0.5), "t must be integers, got (0.5,)"),
+    "ideal twist below": (lambda: chi_ideal_sheaf(_QUINTIC, -101), _OUT_OF_RANGE.format("t", -101)),
+    "fractional construction charge": (lambda: rational_normal_twist_degree(2.5), "charge must be integers, got (2.5,)"),
+    "fractional threshold rank": (lambda: thooft_threshold(2.5), "rank must be integers, got (2.5,)"),
+    "fractional h1 twist": (lambda: h1_from_spectrum(_ZERO_PAIR, -2.5), "l must be integers, got (-2.5,)"),
+    "h1 twist below": (lambda: h1_from_spectrum(_ZERO_PAIR, -101), _OUT_OF_RANGE.format("l", -101)),
+    "fractional h2 twist": (lambda: h2_from_spectrum(_ZERO_PAIR, 0.5), "l must be integers, got (0.5,)"),
+    "h2 twist above": (lambda: h2_from_spectrum(_ZERO_PAIR, 101), _OUT_OF_RANGE.format("l", 101)),
     "edge m = 100": (lambda: euler_characteristic(_CHARGE2, 100), None),
     "edge m = -100": (lambda: chi_values(_CHARGE2, [-100]), None),
     "edge window -100..100": (lambda: natural_table(_CHARGE2, -100, 100), None),
     "edge Serre window -100..96": (lambda: serre_symmetry_check(_CHARGE2, -100, 96), None),
     "edge bound 100": (lambda: enumerate_spectra(1, 100), None),
+    "edge k = -100": (lambda: twist(_CHARGE2, -100), None),
+    "edge curve-form m = 100": (lambda: chi_curve_form(0, 5, 0, 100), None),
+    "edge ideal t = 100": (lambda: chi_ideal_sheaf(_QUINTIC, 100), None),
+    "edge h1 l = -100": (lambda: h1_from_spectrum(_ZERO_PAIR, -100), None),
+    "edge h2 l = 100": (lambda: h2_from_spectrum(_ZERO_PAIR, 100), None),
 }
 
 
@@ -214,6 +241,11 @@ def test_integer_valued_scalar_inputs_are_stored_as_int():
     assert serre_symmetry_check(_CHARGE2, -10.0, Fraction(6))
     curve = CurveInvariants(5.0, -0.0)
     assert [type(curve.d), type(curve.g)] == [int, int]
+    assert twist(_CHARGE2, 1.0) == twist(_CHARGE2, 1)
+    assert [type(v) for v in vars(twist(_CHARGE2, Fraction(1))).values()] == [int, int, int, int]
+    assert [type(chi_curve_form(0, 5.0, Fraction(0), -1.0)), type(chi_ideal_sheaf(_QUINTIC, 3.0))] == [int, int]
+    assert [rational_normal_twist_degree(2.0), thooft_threshold(Fraction(3))] == [3, 2]
+    assert [type(h1_from_spectrum(_ZERO_PAIR, -1.0)), type(h2_from_spectrum(_ZERO_PAIR, -3.0))] == [int, int]
 
 
 # Each refusal, byte for byte.  Where several bounds fail at once, the order

@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 from instanton3 import spectrum
 from instanton3.errors import DomainError, OutOfValidityRange
 from instanton3.spectrum import (
-    BALANCED_BUNDLE,
     MAX_SEARCH_SPACE,
     Spectrum,
-    SpectrumContext,
     enumerate_spectra,
     h0_p1,
     h1_from_spectrum,
@@ -64,15 +62,6 @@ def test_spectrum_accepts_integer_valued_entries():
     ks = Spectrum((-1.0, Fraction(1))).ks
     assert ks == (-1, 1)
     assert all(type(k) is int for k in ks)
-
-
-def test_context_validation():
-    with pytest.raises(ValueError):
-        SpectrumContext(s=-1)
-    with pytest.raises(ValueError):
-        SpectrumContext(a_low=1, a_high=0)
-    assert SpectrumContext(a_low=-1, a_high=2).s == 0
-    assert BALANCED_BUNDLE == SpectrumContext(0, 0, 0)
 
 
 def test_split_pair_predictions():
@@ -132,22 +121,14 @@ def test_h2_mirrors_h1_of_the_negated_spectrum(sp, l):
 
 def test_validity_windows():
     sp = Spectrum((0, 0))
-    with pytest.raises(OutOfValidityRange):
+    with pytest.raises(OutOfValidityRange) as excinfo:
         h1_from_spectrum(sp, 0)
-    with pytest.raises(OutOfValidityRange):
+    assert str(excinfo.value) == "h^1 formula covers l <= -1, got l = 0"
+    with pytest.raises(OutOfValidityRange) as excinfo:
         h2_from_spectrum(sp, -4)
-    wide = SpectrumContext(a_low=-1, a_high=2)
-    with pytest.raises(OutOfValidityRange):
-        h1_from_spectrum(sp, -2, wide)
-    assert h1_from_spectrum(sp, -3, wide) == 0
-    assert h2_from_spectrum(sp, -4, wide) == 4
-
-
-def test_correction_term_adds_to_h1_only():
-    sp = Spectrum((0, 0))
-    ctx = SpectrumContext(s=2)
-    assert h1_from_spectrum(sp, -2, ctx) == 2
-    assert h2_from_spectrum(sp, -2, ctx) == 0
+    assert str(excinfo.value) == "h^2 formula covers l >= -3, got l = -4"
+    assert h1_from_spectrum(sp, -1) == 2
+    assert h2_from_spectrum(sp, -3) == 2
 
 
 def test_instanton_spectrum_is_all_zero():

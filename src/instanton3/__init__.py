@@ -15,7 +15,6 @@ from .chern import (
     ChiPolynomial,
     chern_character,
     chern_from_character,
-    chi_curve_form,
     chi_endomorphisms,
     chi_endomorphisms_closed_form,
     chi_numerators,
@@ -34,10 +33,10 @@ from .cohomtable import (
     natural_table,
     serre_symmetry_check,
 )
-from .cubics import CubicSignAnalysis
 from .curvelink import (
     CurveInvariants,
     bundle_to_curve,
+    chi_curve_form,
     chi_f1_charge,
     chi_ideal_sheaf,
     curve_to_bundle,

@@ -1,9 +1,9 @@
 """The two conventions for the cubic binomial coefficient C(a, 3).
 
-Cohomology counts force the truncated convention (``binom3``: zero below
-a = 3), while polynomial identities in chi need the signed cubic itself
-(``binom3_poly``).  Both are exposed; callers must pick deliberately, as
-the two disagree exactly when a <= -1.
+Every chi in the package uses the signed cubic itself (``binom3_poly``),
+since chi is a polynomial in the twist.  ``binom3`` is the truncated count
+(zero below a = 3), the h^0 of a line bundle on P^3; the two disagree
+exactly when a <= -1.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .binomials import binom3, binom3_poly
 from .chowring import ChowClass, degree, exp_line, mul, todd_p3
 from .errors import DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported, _integers, _twist
 
@@ -166,25 +165,6 @@ def chi_polynomial(d: ChernData) -> ChiPolynomial:
             r / 6,
         )
     )
-
-
-def chi_curve_form(c1: int, d: int, g: int, m: int, *, signed_binomials: bool = False) -> int:
-    """chi(F(m)) for a rank-3 bundle presented through a curve of degree d, genus g:
-
-        2*C(m+3, 3) + C(m+c1+3, 3) - (m+c1)*d - 1 + g
-
-    With the default truncated binomials this matches the cohomological
-    derivation and agrees with the Riemann-Roch route whenever m+3 >= 0 and
-    m+c1+3 >= 0.  With ``signed_binomials`` the expression is the honest
-    cubic and agrees for every m.  Needs integers c1, d, g and |m| <= MAX_TWIST.
-    """
-    if not type(c1) is type(d) is type(g) is int:
-        c1, d, g = _integers((c1, d, g), "c1, curve degree and genus")
-    m = _twist(m, "m")
-    if d < 1:
-        raise DomainError(f"curve degree must be positive, got {d}")
-    b = binom3_poly if signed_binomials else binom3
-    return 2 * b(m + 3) + b(m + c1 + 3) - (m + c1) * d - 1 + g
 
 
 def chi_endomorphisms(d: ChernData) -> int:

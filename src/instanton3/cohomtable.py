@@ -121,9 +121,6 @@ def natural_table(d: ChernData, t_min: int, t_max: int) -> CohomTable:
     rows: dict[int, Row] = {}
     for t in range(t_min, t_max + 1):
         n_t = ((n3 * t + n2) * t + n1) * t + n0
-        if n_t == 0:
-            rows[t] = (0, 0, 0, 0)
-            continue
         chi, rest = divmod(n_t, den)
         if rest:
             raise NonIntegralChi(f"chi at twist {t} is not an integer: {Fraction(n_t, den)}")
@@ -137,7 +134,7 @@ def natural_table(d: ChernData, t_min: int, t_max: int) -> CohomTable:
         if value < 0:
             # Unreachable when the index rule is exact; kept as a guard
             # against a sign bug ever reintroducing negative dimensions.
-            raise NotNaturalizable(f"negative dimension {value} at twist {t}", twist=t)
+            raise NotNaturalizable(f"negative dimension {value} at twist {t}")
         row = [0, 0, 0, 0]
         row[index] = value
         rows[t] = tuple(row)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .binomials import binom3
+from .binomials import binom3_poly
 from .chern import ChernData, euler_characteristic, validate_parity
 from .errors import DomainError, ParityViolation, RankUnsupported, _integers, _twist
 
@@ -92,13 +92,34 @@ def generated_by_two_sections(deg: int) -> bool:
     Global generation needs deg >= 0 and two spanning sections need
     h^0 = deg + 1 >= 2, so the condition is deg >= 1.
     """
+    (deg,) = _integers((deg,), "degree")
     return deg >= 1
+
+
+def _ideal_chi(d: int, g: int, t: int) -> int:
+    # Unchecked: chi_curve_form passes t = m + c1, which c1 may carry past MAX_TWIST.
+    return binom3_poly(t + 3) - (d * t + 1 - g)
 
 
 def chi_ideal_sheaf(cv: CurveInvariants, t: int) -> int:
     """chi of the twisted ideal sheaf of the curve: C(t+3, 3) - (d*t + 1 - g), for |t| <= MAX_TWIST."""
-    t = _twist(t, "t")
-    return binom3(t + 3) - (cv.d * t + 1 - cv.g)
+    return _ideal_chi(cv.d, cv.g, _twist(t, "t"))
+
+
+def chi_curve_form(c1: int, d: int, g: int, m: int) -> int:
+    """chi(F(m)) for a rank-3 bundle presented through a curve of degree d, genus g:
+
+        2*C(m+3, 3) + C(m+c1+3, 3) - (m+c1)*d - 1 + g
+
+    on the signed cubic, so it agrees with the Riemann-Roch route at every
+    twist.  Needs integers c1, d, g with d >= 1 and |m| <= MAX_TWIST.
+    """
+    if not type(c1) is type(d) is type(g) is int:
+        c1, d, g = _integers((c1, d, g), "c1, curve degree and genus")
+    m = _twist(m, "m")
+    if d < 1:
+        raise DomainError(f"curve degree must be positive, got {d}")
+    return 2 * binom3_poly(m + 3) + _ideal_chi(d, g, m + c1)
 
 
 def thooft_threshold(rank: int) -> int:
@@ -111,6 +132,7 @@ def thooft_threshold(rank: int) -> int:
 
 def chi_f1_charge(n: int) -> int:
     """chi(F(1)) for the charge-n rank-3 type (c1, c2, c3) = (0, n, 0): equals 12 - 3n."""
+    (n,) = _integers((n,), "charge")
     if n < 2:
         raise DomainError(f"charge must be at least 2, got {n}")
     return euler_characteristic(ChernData(3, 0, n, 0), 1)

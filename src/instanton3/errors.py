@@ -35,10 +35,6 @@ class OutOfValidityRange(ToolkitError):
 class NotNaturalizable(ToolkitError):
     """No single-index cohomology table exists for the given Chern data."""
 
-    def __init__(self, message: str, twist: int | None = None):
-        super().__init__(message)
-        self.twist = twist
-
 
 class MissingRows(ToolkitError):
     """A cohomology table lacks the twists a check needs to read."""

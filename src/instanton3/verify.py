@@ -26,7 +26,6 @@ from .chern import (
     chi_endomorphisms,
     chi_endomorphisms_closed_form,
     chi_polynomial,
-    chi_curve_form,
     chi_values,
     dual,
     euler_characteristic,
@@ -38,6 +37,7 @@ from .cohomtable import CohomTable, MonadType, instanton_check, monad_chern, nat
 from .curvelink import (
     CurveInvariants,
     bundle_to_curve,
+    chi_curve_form,
     chi_f1_charge,
     chi_ideal_sheaf,
     curve_to_bundle,
@@ -241,7 +241,7 @@ def all_claims() -> tuple[Claim, ...]:
             "the curve-side chi formula matches the Todd pairing under the degree-genus dictionary",
             [],
             lambda: _mismatches(
-                ((c1, dd, g, m), chi_curve_form(c1, dd, g, m, signed_binomials=True), chi)
+                ((c1, dd, g, m), chi_curve_form(c1, dd, g, m), chi)
                 for c1, dd, g in ((3, 5, 0), (0, 2, -3), (-1, 4, 1), (2, 3, 0))
                 for m, chi in zip(
                     _CHI_SWEEP_TWISTS, chi_values(curve_to_bundle(CurveInvariants(dd, g), c1), _CHI_SWEEP_TWISTS)

@@ -15,7 +15,6 @@ from instanton3.chern import (
     ChernData,
     chern_character,
     chern_from_character,
-    chi_curve_form,
     chi_endomorphisms,
     chi_endomorphisms_closed_form,
     dual,
@@ -27,6 +26,7 @@ from instanton3.cohomtable import MonadType
 from instanton3.curvelink import (
     CurveInvariants,
     bundle_to_curve,
+    chi_curve_form,
     curve_to_bundle,
     generated_by_two_sections,
     rational_normal_twist_degree,
@@ -98,7 +98,7 @@ def test_criterion_5_identity_suite():
             g = rng.randint(-8, 8)
             m = rng.randint(-12, 12)
             bundle = curve_to_bundle(CurveInvariants(d, g), c1)
-            assert chi_curve_form(c1, d, g, m, signed_binomials=True) == euler_characteristic(bundle, m)
+            assert chi_curve_form(c1, d, g, m) == euler_characteristic(bundle, m)
 
         for _ in range(CASES):  # endomorphism chi, ring route against closed form
             d3 = ChernData(3, rng.randint(-12, 12), rng.randint(-12, 12), rng.randint(-12, 12))

@@ -14,7 +14,6 @@ from instanton3.chern import (
     ChiPolynomial,
     chern_character,
     chern_from_character,
-    chi_curve_form,
     chi_endomorphisms,
     chi_endomorphisms_closed_form,
     chi_numerators,
@@ -26,6 +25,7 @@ from instanton3.chern import (
     validate_parity,
 )
 from instanton3.chowring import ChowClass, degree, exp_line, mul, todd_p3
+from instanton3.curvelink import chi_curve_form
 from instanton3.errors import DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported
 from instanton3.verify import _jsonable
 
@@ -314,22 +314,10 @@ def curve_matching_data(draw):
     return ChernData(3, c1, d, c3), c1, d, g
 
 
-@given(curve_matching_data(), twists)
+@given(curve_matching_data(), wide_twists)
 def test_chi_curve_form_signed_matches_ring_route(data, m):
     bundle, c1, d, g = data
-    assert chi_curve_form(c1, d, g, m, signed_binomials=True) == euler_characteristic(bundle, m)
-
-
-@given(curve_matching_data(), st.integers(min_value=0, max_value=12))
-def test_chi_curve_form_truncated_agrees_on_valid_window(data, offset):
-    bundle, c1, d, g = data
-    m = offset + max(0, -c1)  # guarantees m + 3 >= 0 and m + c1 + 3 >= 0
     assert chi_curve_form(c1, d, g, m) == euler_characteristic(bundle, m)
-
-
-def test_chi_curve_form_conventions_differ_far_left():
-    # At m = -10 the truncated binomials are zero but the cubic is not.
-    assert chi_curve_form(0, 2, -3, -10) != chi_curve_form(0, 2, -3, -10, signed_binomials=True)
 
 
 def test_chi_curve_form_rejects_nonpositive_degree():

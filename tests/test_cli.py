@@ -15,7 +15,6 @@ import instanton3
 from instanton3 import (
     ONE,
     ChernData,
-    CubicSignAnalysis,
     CurveInvariants,
     DomainError,
     ModuliReport,
@@ -25,10 +24,12 @@ from instanton3 import (
     chern,
     chern_from_character,
     chi_curve_form,
+    chi_f1_charge,
     chi_ideal_sheaf,
     cli,
     enumerate_spectra,
     euler_characteristic,
+    generated_by_two_sections,
     h1_from_spectrum,
     h2_from_spectrum,
     mul,
@@ -39,6 +40,7 @@ from instanton3 import (
     twist,
 )
 from instanton3.chern import chi_values
+from instanton3.cubics import CubicSignAnalysis
 
 CHARGE2_TABLE = "\n".join(
     [
@@ -200,6 +202,8 @@ PRECONDITIONS = {
     "ideal twist below": (lambda: chi_ideal_sheaf(_QUINTIC, -101), _OUT_OF_RANGE.format("t", -101)),
     "fractional construction charge": (lambda: rational_normal_twist_degree(2.5), "charge must be integers, got (2.5,)"),
     "fractional threshold rank": (lambda: thooft_threshold(2.5), "rank must be integers, got (2.5,)"),
+    "fractional section degree": (lambda: generated_by_two_sections(2.5), "degree must be integers, got (2.5,)"),
+    "fractional charge": (lambda: chi_f1_charge(2.5), "charge must be integers, got (2.5,)"),
     "fractional h1 twist": (lambda: h1_from_spectrum(_ZERO_PAIR, -2.5), "l must be integers, got (-2.5,)"),
     "h1 twist below": (lambda: h1_from_spectrum(_ZERO_PAIR, -101), _OUT_OF_RANGE.format("l", -101)),
     "fractional h2 twist": (lambda: h2_from_spectrum(_ZERO_PAIR, 0.5), "l must be integers, got (0.5,)"),
@@ -467,6 +471,13 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout == CHARGE2_TABLE + "\n"
+
+
+def test_package_import_leaves_the_sturm_oracle_out():
+    # cubics.py is the tests' independent root-counting oracle; no package code path needs it.
+    code = "import sys, instanton3, instanton3.cli; print('instanton3.cubics' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -95,6 +95,8 @@ def test_two_section_threshold():
 def test_chi_ideal_sheaf_pinned_values():
     assert chi_ideal_sheaf(CurveInvariants(5, 0), 3) == 4
     assert chi_ideal_sheaf(CurveInvariants(1, 0), 1) == 2
+    assert chi_ideal_sheaf(CurveInvariants(5, 0), -4) == 18
+    assert chi_ideal_sheaf(CurveInvariants(5, 0), -10) == -35
 
 
 @given(st.integers(min_value=2, max_value=20))
@@ -103,7 +105,7 @@ def test_chi_ideal_sheaf_vanishes_untwisted_for_rational_curves(n):
     assert chi_ideal_sheaf(cv, 0) == 0
 
 
-@given(degrees, genera, st.integers(min_value=0, max_value=10))
+@given(degrees, genera, st.integers(min_value=-100, max_value=100))
 def test_chi_ideal_sheaf_is_ambient_minus_curve(d, g, t):
     # chi(O_P3(t)) splits as chi of the ideal sheaf plus chi(O_C(t)).
     cv = CurveInvariants(d, g)

@@ -10,7 +10,7 @@ checklist insist the two routes coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -188,3 +188,22 @@ def validate_parity(d: ChernData) -> bool:
     if d.rank != 3:
         raise RankUnsupported(f"parity constraint is rank-3 specific, got rank {d.rank}")
     return (d.c3 - d.c1 * d.c2) % 2 == 0
+
+
+def _jsonable(value):
+    """The one JSON rule: exact rationals as int or "p/q", ChernData as [rank, c1, c2, c3], dataclasses by field."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    if isinstance(value, ChernData):
+        return [value.rank, value.c1, value.c2, value.c3]
+    if isinstance(value, ChowClass):
+        return [_jsonable(c) for c in value.coeffs]
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return repr(value)

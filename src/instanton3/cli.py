@@ -18,11 +18,10 @@ import json
 import sys
 from typing import Sequence
 
-from .chern import ChernData, euler_characteristic
+from .chern import ChernData, _jsonable, euler_characteristic
 from .cohomtable import natural_table
 from .errors import NotNaturalizable, ToolkitError
 from .spectrum import enumerate_spectra, h1_from_spectrum, h2_from_spectrum, is_instanton_spectrum
-from .verify import _jsonable, report_json_dict, report_text, run_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -81,6 +80,8 @@ def cmd_spectra(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import report_json_dict, report_text, run_all  # only verify-paper needs the checklist
+
     results = run_all()
     if args.format == "json":
         _print_json(report_json_dict(results))

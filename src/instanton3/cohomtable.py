@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .chern import ChernData, chern_from_character, chi_numerators, dual, validate_parity
+from .chern import ChernData, _jsonable, chern_from_character, chi_numerators, dual, validate_parity
 from .chowring import ONE, add, exp_line
 from .errors import MAX_TWIST, DomainError, MissingRows, NonIntegralChi, NotNaturalizable, ParityViolation, _integers, _twist
 
@@ -76,7 +76,7 @@ class CohomTable:
 
     def to_json_dict(self) -> dict:
         return {
-            "chern": [self.chern.rank, self.chern.c1, self.chern.c2, self.chern.c3],
+            "chern": _jsonable(self.chern),
             "rows": [{"t": t, "h": list(self.rows[t])} for t in sorted(self.rows)],
         }
 

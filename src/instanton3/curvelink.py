@@ -64,6 +64,7 @@ def bundle_to_curve(d3: ChernData) -> CurveInvariants:
 
 def curve_to_bundle(cv: CurveInvariants, c1: int) -> ChernData:
     """Rank-3 Chern data matching a curve: c2 = d and c3 from the genus relation."""
+    (c1,) = _integers((c1,), "c1")
     wc3, wc2, wc12 = GENUS_RELATION
     num = 2 * cv.g - 2 - wc2 * cv.d - wc12 * c1 * cv.d
     if num % wc3:

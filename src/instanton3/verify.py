@@ -14,7 +14,7 @@ tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product, starmap
@@ -22,6 +22,7 @@ from typing import Callable
 
 from .chern import (
     ChernData,
+    _jsonable,
     chern_character,
     chi_endomorphisms,
     chi_endomorphisms_closed_form,
@@ -46,7 +47,6 @@ from .curvelink import (
     thooft_threshold,
 )
 from .errors import ParityViolation
-from .moduli import DerivationStep, ModuliReport
 from .moduli import _ext_difference_closed_form, charge2_dimension_chain, ext_difference, smooth_dimension
 from .spectrum import Spectrum, enumerate_spectra, h1_from_spectrum, h2_from_spectrum, is_instanton_spectrum
 
@@ -513,28 +513,6 @@ def run_claim(claim: Claim) -> ClaimResult:
 
 def run_all() -> list[ClaimResult]:
     return [run_claim(c) for c in all_claims()]
-
-
-def _jsonable(value):
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, ChernData):
-        return [value.rank, value.c1, value.c2, value.c3]
-    if isinstance(value, ChowClass):
-        return [_jsonable(c) for c in value.coeffs]
-    if isinstance(value, CurveInvariants):
-        return [value.d, value.g]
-    if isinstance(value, Spectrum):
-        return list(value.ks)
-    if isinstance(value, (ModuliReport, DerivationStep)):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return repr(value)
 
 
 def report_json_dict(results: list[ClaimResult]) -> dict:

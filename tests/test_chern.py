@@ -12,6 +12,7 @@ from instanton3.binomials import binom3, binom3_poly
 from instanton3.chern import (
     ChernData,
     ChiPolynomial,
+    _jsonable,
     chern_character,
     chern_from_character,
     chi_endomorphisms,
@@ -27,7 +28,6 @@ from instanton3.chern import (
 from instanton3.chowring import ChowClass, degree, exp_line, mul, todd_p3
 from instanton3.curvelink import chi_curve_form
 from instanton3.errors import DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported
-from instanton3.verify import _jsonable
 
 CHARGE2 = ChernData(3, 0, 2, 0)
 

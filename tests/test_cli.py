@@ -27,6 +27,7 @@ from instanton3 import (
     chi_f1_charge,
     chi_ideal_sheaf,
     cli,
+    curve_to_bundle,
     enumerate_spectra,
     euler_characteristic,
     generated_by_two_sections,
@@ -204,6 +205,7 @@ PRECONDITIONS = {
     "fractional threshold rank": (lambda: thooft_threshold(2.5), "rank must be integers, got (2.5,)"),
     "fractional section degree": (lambda: generated_by_two_sections(2.5), "degree must be integers, got (2.5,)"),
     "fractional charge": (lambda: chi_f1_charge(2.5), "charge must be integers, got (2.5,)"),
+    "fractional curve c1": (lambda: curve_to_bundle(_QUINTIC, 2.5), "c1 must be integers, got (2.5,)"),
     "fractional h1 twist": (lambda: h1_from_spectrum(_ZERO_PAIR, -2.5), "l must be integers, got (-2.5,)"),
     "h1 twist below": (lambda: h1_from_spectrum(_ZERO_PAIR, -101), _OUT_OF_RANGE.format("l", -101)),
     "fractional h2 twist": (lambda: h2_from_spectrum(_ZERO_PAIR, 0.5), "l must be integers, got (0.5,)"),
@@ -322,17 +324,21 @@ def test_spectra_json(capsys):
     assert run_cli(capsys, "spectra", "2", "--bound", "1", "--format", "json") == (0, SPECTRA_2_JSON, "")
 
 
-# sha256 and byte count of whole spectra listings, text and JSON.
-SPECTRA_DIGESTS = {
+# sha256 and byte count of whole outputs: spectra listings in both formats,
+# and the chi and table JSON, which write Chern data through chern._jsonable.
+CLI_DIGESTS = {
     "spectra 5 --bound 9": ("925f7fb6cd9608fe3ad8ed5d258c41f627610c3823c565757b81ee552dfbf600", 46061),
     "spectra 5 --bound 9 --format json": ("24b01466e577edfa1fcce10057ab621a72a260dc654971e7253c232b57e66e24", 157310),
     "spectra 8 --bound 4": ("cc992d06dd698c776761c6a98eff3ca37244cbe0d043283ea1712562e529432e", 28438),
     "spectra 8 --bound 4 --format json": ("02a8ad8aaf711a47c7bac80c270b4be4b622f7db8c124cd807b177bae8d5739f", 103174),
+    "chi 3 0 2 0 --m 1 --format json": ("fbfe5d96689e0c903358870e8bee4b92ea8b273d4d572f81c70a4e0b798abe52", 70),
+    "table 3 0 2 0 -5 1 --format json": ("1eda1e59cf0af0b773a3f2e5c9a03ffec312c3cb28c96b9ad97adc5da32211ed", 706),
+    "table 3 3 5 3 -100 100 --format json": ("432c9f64875b5cfc1f5bb4f0d8751c5091ca509b9c4b15e2c0fec42561f33c65", 19427),
 }
 
 
-@pytest.mark.parametrize("argv,digest", SPECTRA_DIGESTS.items(), ids=SPECTRA_DIGESTS.keys())
-def test_spectra_output_digest(capsys, argv, digest):
+@pytest.mark.parametrize("argv,digest", CLI_DIGESTS.items(), ids=CLI_DIGESTS.keys())
+def test_cli_output_digest(capsys, argv, digest):
     rc, out, err = run_cli(capsys, *argv.split())
     data = out.encode()
     assert (rc, err) == (0, "")
@@ -475,9 +481,10 @@ def test_module_invocation_smoke():
 
 def test_package_import_leaves_the_sturm_oracle_out():
     # cubics.py is the tests' independent root-counting oracle; no package code path needs it.
-    code = "import sys, instanton3, instanton3.cli; print('instanton3.cubics' in sys.modules)"
+    # verify.py is the claim checklist; the CLI loads it only for verify-paper.
+    code = "import sys, instanton3, instanton3.cli; print([m in sys.modules for m in ('instanton3.cubics', 'instanton3.verify')])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    assert (proc.returncode, proc.stdout) == (0, "[False, False]\n")
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

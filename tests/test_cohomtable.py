@@ -16,7 +16,7 @@ from instanton3.cohomtable import (
     serre_symmetry_check,
 )
 from instanton3.cubics import CubicSignAnalysis
-from instanton3.errors import DomainError, MissingRows, NonIntegralChi, NotNaturalizable, ParityViolation
+from instanton3.errors import MAX_TWIST, DomainError, MissingRows, NonIntegralChi, NotNaturalizable, ParityViolation
 
 CHARGE2 = ChernData(3, 0, 2, 0)
 
@@ -212,6 +212,9 @@ def reference_outcome(d, t_min, t_max):
     products per twist.  Returns the exception type and its message, or the
     rows.
     """
+    for name, t in (("t_min", t_min), ("t_max", t_max)):
+        if abs(t) > MAX_TWIST:
+            return DomainError, f"{name} = {t} is out of range; |{name}| must be at most {MAX_TWIST}"
     if t_min > t_max:
         return DomainError, f"empty twist window: t_min = {t_min} exceeds t_max = {t_max}"
     if d.rank == 3 and not validate_parity(d):
@@ -283,6 +286,7 @@ def test_big_charge_table_is_pinned():
 @example((ChernData(3, -1, 0, 0), -5, 3))  # double root at -2
 @example((ChernData(6, 0, -1, 0), -5, 3))  # triple root at -2
 @example((ChernData(3, 0, 2, 1), 1, 0))  # empty window before parity
+@example((ChernData(3, 0, 2, 0), -100, -101))  # twist bound before empty window
 @example((ChernData(3, 0, -5, 1), -3, 1))  # parity before naturalizability
 @example((ChernData(2, 0, 2, 1), -3, 3))  # no parity rule outside rank 3
 def test_kernel_matches_oracles(window):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from instanton3 import moduli
-from instanton3.chern import ChernData, chi_endomorphisms
+from instanton3.chern import ChernData, _jsonable, chi_endomorphisms
 from instanton3.errors import ConsistencyError, MissingHypothesis, RankUnsupported
 from instanton3.moduli import (
     DerivationStep,
@@ -18,7 +18,6 @@ from instanton3.moduli import (
     ext_difference,
     smooth_dimension,
 )
-from instanton3.verify import _jsonable
 
 CHARGE2 = ChernData(3, 0, 2, 0)
 

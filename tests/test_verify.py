@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from instanton3 import chern
+from instanton3.chern import _jsonable
 from instanton3.chowring import mul
 from instanton3.verify import (
     MUTATION_TARGETS,
     Claim,
-    _jsonable,
     all_claims,
     report_json_dict,
     report_text,

@@ -81,6 +81,7 @@ def chern_character(d: ChernData) -> ChowClass:
 
 def chern_from_character(x: ChowClass, rank: int) -> ChernData:
     """Invert chern_character; raises NonIntegralChernClass if no sheaf fits."""
+    (rank,) = _integers((rank,), "rank")
     if rank < 1:
         raise DomainError(f"rank must be a positive integer, got {rank}")
     if x.a0 != rank:

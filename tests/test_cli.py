@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import inspect
 import json
 import shutil
 import subprocess
@@ -12,36 +13,24 @@ from pathlib import Path
 import pytest
 
 import instanton3
-from instanton3 import (
-    ONE,
-    ChernData,
+from instanton3 import chern, cli, errors
+from instanton3.chern import ChernData, chern_from_character, chi_values, euler_characteristic, twist
+from instanton3.chowring import ONE, mul
+from instanton3.cohomtable import MonadType, natural_table, serre_symmetry_check
+from instanton3.cubics import CubicSignAnalysis
+from instanton3.curvelink import (
     CurveInvariants,
-    DomainError,
-    ModuliReport,
-    MonadType,
-    Spectrum,
-    ToolkitError,
-    chern,
-    chern_from_character,
     chi_curve_form,
     chi_f1_charge,
     chi_ideal_sheaf,
-    cli,
     curve_to_bundle,
-    enumerate_spectra,
-    euler_characteristic,
     generated_by_two_sections,
-    h1_from_spectrum,
-    h2_from_spectrum,
-    mul,
-    natural_table,
     rational_normal_twist_degree,
-    serre_symmetry_check,
     thooft_threshold,
-    twist,
 )
-from instanton3.chern import chi_values
-from instanton3.cubics import CubicSignAnalysis
+from instanton3.errors import DomainError, ToolkitError
+from instanton3.moduli import ModuliReport
+from instanton3.spectrum import Spectrum, enumerate_spectra, h1_from_spectrum, h2_from_spectrum
 
 CHARGE2_TABLE = "\n".join(
     [
@@ -149,6 +138,7 @@ PRECONDITIONS = {
     "rank": (lambda: ChernData(0, 0, 0, 0), "rank must be a positive integer, got 0"),
     "character rank": (lambda: chern_from_character(ONE, 0), "rank must be a positive integer, got 0"),
     "character degree 0": (lambda: chern_from_character(ONE, 2), "degree-0 coefficient 1 does not match rank 2"),
+    "string character rank": (lambda: chern_from_character(ONE, "x"), "rank must be integers, got ('x',)"),
     "monad multiplicities": (lambda: MonadType(-1, 2, 0), "monad multiplicities cannot be negative: (-1, 2, 0)"),
     "monad rank": (lambda: MonadType(1, 2, 1), "monad cohomology must have positive rank, got 0"),
     "cubic degree": (lambda: CubicSignAnalysis((1, 2)), "need a cubic, got degree 1"),
@@ -482,9 +472,34 @@ def test_module_invocation_smoke():
 def test_package_import_leaves_the_sturm_oracle_out():
     # cubics.py is the tests' independent root-counting oracle; no package code path needs it.
     # verify.py is the claim checklist; the CLI loads it only for verify-paper.
-    code = "import sys, instanton3, instanton3.cli; print([m in sys.modules for m in ('instanton3.cubics', 'instanton3.verify')])"
+    # curvelink.py and binomials.py serve only the checklist, and the namespace does not re-export them.
+    unloaded = ("instanton3.cubics", "instanton3.verify", "instanton3.curvelink", "instanton3.binomials")
+    code = f"import sys, instanton3, instanton3.cli; print([m in sys.modules for m in {unloaded}])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, "[False, False]\n")
+    assert (proc.returncode, proc.stdout) == (0, "[False, False, False, False]\n")
+
+
+QUICK_TOUR_API = {
+    "chern_character",
+    "euler_characteristic",
+    "twist",
+    "natural_table",
+    "charge2_dimension_chain",
+    "ext_difference",
+    "ChernData",
+    "ChowClass",
+    "CohomTable",
+    "ModuliReport",
+}
+
+
+def test_package_namespace_is_the_quick_tour_api_and_the_error_catalogue():
+    # Every other name has one import path, its module, so no re-export may creep back.
+    catalogue = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, ToolkitError)}
+    assert len(catalogue) == 11
+    public = {name for name, obj in vars(instanton3).items() if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public == QUICK_TOUR_API | catalogue
+    assert isinstance(instanton3.__version__, str)
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -1,8 +1,9 @@
-"""Golden test: every README console example and JSON shape, replayed through cli.main."""
+"""Golden test: every README console example and JSON shape, replayed through cli.main, and the quick tour."""
 
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,25 @@ def test_json_output_has_the_documented_keys(capsys, argv):
     assert len(listed) == (1 if nested else 0)
     for entries in listed:
         assert all(set(entry) == nested for entry in entries)
+
+
+QUICK_TOUR = re.search(r"^## Library quick tour\n+```python\n(.*?)^```$", README, re.M | re.S).group(1)
+
+
+def test_quick_tour_runs_and_its_value_comments_hold(capsys):
+    namespace = {"Fraction": Fraction}
+    exec(QUICK_TOUR, namespace)
+    table = next(expected for argv, _, expected in EXAMPLES if argv[0] == "table")
+    assert capsys.readouterr().out == table
+    checked = 0
+    for line in QUICK_TOUR.splitlines():
+        expr, _, comment = line.partition("#")
+        if not comment:
+            continue
+        try:
+            want = eval(comment, namespace)
+        except SyntaxError:  # "16, via the geometric construction": the value is the leading 16
+            want = eval(comment.split(",", 1)[0], namespace)
+        assert eval(expr, namespace) == want, line
+        checked += 1
+    assert checked == 5

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .chowring import ChowClass, degree, exp_line, mul, todd_p3
-from .errors import DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported, _integers, _twist
+from .errors import MAX_INT, DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported, _integers, _twist
 
 #: Expansion constants of the closed-form chi cubic.  They mirror the Todd
 #: coefficients used by the ring route but are kept as an independent
@@ -38,7 +38,11 @@ class ChernData:
     c3: int
 
     def __post_init__(self) -> None:
-        if not type(self.rank) is type(self.c1) is type(self.c2) is type(self.c3) is int:
+        if not (
+            type(self.rank) is type(self.c1) is type(self.c2) is type(self.c3) is int
+            and abs(self.rank) <= MAX_INT and abs(self.c1) <= MAX_INT
+            and abs(self.c2) <= MAX_INT and abs(self.c3) <= MAX_INT
+        ):
             ints = _integers((self.rank, self.c1, self.c2, self.c3), "rank and Chern classes")
             for name, value in zip(("rank", "c1", "c2", "c3"), ints):
                 object.__setattr__(self, name, value)

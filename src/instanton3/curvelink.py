@@ -5,11 +5,14 @@ matches a curve of degree d = c2 whose genus solves
 
     c3 - 4*c2 + c1*c2 = 2g - 2.
 
-No curve is ever constructed; pairs (d, g) are formal invariants.  The
-helpers around the dictionary cover the section counts that drive the
-charge-2 construction: the normal-bundle twist degree of a rational normal
-curve, the section threshold for producing a sheaf from a curve, and the
-twist-1 section budget as a function of the charge.
+The relation alone decides whether an integer genus exists; the claim
+``parity-genus-consistency`` compares that with the parity of c3 - c1*c2.
+No curve is ever constructed: pairs (d, g) are formal invariants, checked
+once, by ``CurveInvariants``.  The helpers around the dictionary cover the
+section counts that drive the charge-2 construction: the normal-bundle twist
+degree of a rational normal curve, the section threshold for producing a
+sheaf from a curve, and the twist-1 section budget as a function of the
+charge.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .binomials import binom3_poly
-from .chern import ChernData, euler_characteristic, validate_parity
+from .chern import ChernData, euler_characteristic
 from .errors import MAX_INT, DomainError, ParityViolation, RankUnsupported, _integers, _twist
 
 #: Weights of (c3, c2, c1*c2) on the left side of "... = 2g - 2".
@@ -31,11 +34,10 @@ DET_TWIST = 3
 
 @dataclass(frozen=True)
 class CurveInvariants:
-    """Degree and genus of a space curve, plus a caller-asserted rationality flag."""
+    """Degree d >= 1 and genus g of a space curve: the one check of both."""
 
     d: int
     g: int
-    rational: bool = False
 
     def __post_init__(self) -> None:
         if not (type(self.d) is type(self.g) is int and abs(self.d) <= MAX_INT and abs(self.g) <= MAX_INT):
@@ -43,22 +45,18 @@ class CurveInvariants:
                 object.__setattr__(self, name, value)
         if self.d < 1:
             raise DomainError(f"curve degree must be positive, got {self.d}")
-        if self.rational and self.g != 0:
-            raise DomainError(f"a rational curve has genus 0, got {self.g}")
 
 
 def bundle_to_curve(d3: ChernData) -> CurveInvariants:
     """Invariants of the curve matching a rank-3 bundle: d = c2, genus from the relation."""
     if d3.rank != 3:
         raise RankUnsupported(f"the curve dictionary needs rank 3, got {d3.rank}")
-    if not validate_parity(d3):
-        raise ParityViolation(f"c3 - c1*c2 = {d3.c3 - d3.c1 * d3.c2} is odd; no integer genus exists")
-    if d3.c2 < 1:
-        raise DomainError(f"c2 must be positive to name a curve degree, got {d3.c2}")
     wc3, wc2, wc12 = GENUS_RELATION
     two_g = wc3 * d3.c3 + wc2 * d3.c2 + wc12 * d3.c1 * d3.c2 + 2
     if two_g % 2:
         raise ParityViolation(f"genus relation gave the odd value {two_g} for 2g")
+    if d3.c2 < 1:
+        raise DomainError(f"c2 must be positive to name a curve degree, got {d3.c2}")
     return CurveInvariants(d=d3.c2, g=two_g // 2)
 
 
@@ -97,32 +95,27 @@ def generated_by_two_sections(deg: int) -> bool:
     return deg >= 1
 
 
-def _ideal_chi(d: int, g: int, t: int) -> int:
+def _ideal_chi(cv: CurveInvariants, t: int) -> int:
     # Unchecked: chi_curve_form passes t = m + c1, which c1 may carry past MAX_TWIST.
-    return binom3_poly(t + 3) - (d * t + 1 - g)
+    return binom3_poly(t + 3) - (cv.d * t + 1 - cv.g)
 
 
 def chi_ideal_sheaf(cv: CurveInvariants, t: int) -> int:
     """chi of the twisted ideal sheaf of the curve: C(t+3, 3) - (d*t + 1 - g), for |t| <= MAX_TWIST."""
-    return _ideal_chi(cv.d, cv.g, _twist(t, "t"))
+    return _ideal_chi(cv, _twist(t, "t"))
 
 
-def chi_curve_form(c1: int, d: int, g: int, m: int) -> int:
+def chi_curve_form(cv: CurveInvariants, c1: int, m: int) -> int:
     """chi(F(m)) for a rank-3 bundle presented through a curve of degree d, genus g:
 
         2*C(m+3, 3) + C(m+c1+3, 3) - (m+c1)*d - 1 + g
 
     on the signed cubic, so it agrees with the Riemann-Roch route at every
-    twist.  Needs integers c1, d, g with d >= 1 and |m| <= MAX_TWIST.
+    twist.  Needs an integer c1 and |m| <= MAX_TWIST.
     """
-    if not (
-        type(c1) is type(d) is type(g) is int and abs(c1) <= MAX_INT and abs(d) <= MAX_INT and abs(g) <= MAX_INT
-    ):
-        c1, d, g = _integers((c1, d, g), "c1, curve degree and genus")
+    (c1,) = _integers((c1,), "c1")
     m = _twist(m, "m")
-    if d < 1:
-        raise DomainError(f"curve degree must be positive, got {d}")
-    return 2 * binom3_poly(m + 3) + _ideal_chi(d, g, m + c1)
+    return 2 * binom3_poly(m + 3) + _ideal_chi(cv, m + c1)
 
 
 def thooft_threshold(rank: int) -> int:

@@ -241,11 +241,9 @@ def all_claims() -> tuple[Claim, ...]:
             "the curve-side chi formula matches the Todd pairing under the degree-genus dictionary",
             [],
             lambda: _mismatches(
-                ((c1, dd, g, m), chi_curve_form(c1, dd, g, m), chi)
-                for c1, dd, g in ((3, 5, 0), (0, 2, -3), (-1, 4, 1), (2, 3, 0))
-                for m, chi in zip(
-                    _CHI_SWEEP_TWISTS, chi_values(curve_to_bundle(CurveInvariants(dd, g), c1), _CHI_SWEEP_TWISTS)
-                )
+                ((c1, cv.d, cv.g, m), chi_curve_form(cv, c1, m), chi)
+                for c1, cv in zip((3, 0, -1, 2), starmap(CurveInvariants, ((5, 0), (2, -3), (4, 1), (3, 0))))
+                for m, chi in zip(_CHI_SWEEP_TWISTS, chi_values(curve_to_bundle(cv, c1), _CHI_SWEEP_TWISTS))
             ),
         ),
         # Spectrum arithmetic.
@@ -335,7 +333,7 @@ def all_claims() -> tuple[Claim, ...]:
             "curve-roundtrip-quintic",
             "the rational quintic with c1 = 3 maps back to the classes (3, 3, 5, 3)",
             ChernData(3, 3, 5, 3),
-            lambda: curve_to_bundle(CurveInvariants(5, 0, rational=True), 3),
+            lambda: curve_to_bundle(CurveInvariants(5, 0), 3),
         ),
         Claim(
             "normal-bundle-twist-degrees",
@@ -355,9 +353,7 @@ def all_claims() -> tuple[Claim, ...]:
             "chi-ideal-rational-curves",
             "chi of the untwisted ideal sheaf of the degree-(n+3) rational curve vanishes",
             [],
-            lambda: _family(
-                _CHARGES, lambda n: chi_ideal_sheaf(CurveInvariants(n + 3, 0, rational=True), 0), lambda n: 0
-            ),
+            lambda: _family(_CHARGES, lambda n: chi_ideal_sheaf(CurveInvariants(n + 3, 0), 0), lambda n: 0),
         ),
         Claim(
             "thooft-threshold-rank3",

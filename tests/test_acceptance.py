@@ -97,8 +97,8 @@ def test_criterion_5_identity_suite():
             d = rng.randint(1, 10)
             g = rng.randint(-8, 8)
             m = rng.randint(-12, 12)
-            bundle = curve_to_bundle(CurveInvariants(d, g), c1)
-            assert chi_curve_form(c1, d, g, m) == euler_characteristic(bundle, m)
+            cv = CurveInvariants(d, g)
+            assert chi_curve_form(cv, c1, m) == euler_characteristic(curve_to_bundle(cv, c1), m)
 
         for _ in range(CASES):  # endomorphism chi, ring route against closed form
             d3 = ChernData(3, rng.randint(-12, 12), rng.randint(-12, 12), rng.randint(-12, 12))

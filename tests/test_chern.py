@@ -26,7 +26,7 @@ from instanton3.chern import (
     validate_parity,
 )
 from instanton3.chowring import ChowClass, degree, exp_line, mul, todd_p3
-from instanton3.curvelink import chi_curve_form
+from instanton3.curvelink import CurveInvariants, chi_curve_form
 from instanton3.errors import DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported
 
 CHARGE2 = ChernData(3, 0, 2, 0)
@@ -317,12 +317,12 @@ def curve_matching_data(draw):
 @given(curve_matching_data(), wide_twists)
 def test_chi_curve_form_signed_matches_ring_route(data, m):
     bundle, c1, d, g = data
-    assert chi_curve_form(c1, d, g, m) == euler_characteristic(bundle, m)
+    assert chi_curve_form(CurveInvariants(d, g), c1, m) == euler_characteristic(bundle, m)
 
 
 def test_chi_curve_form_rejects_nonpositive_degree():
-    with pytest.raises(DomainError):
-        chi_curve_form(0, 0, 0, 1)
+    with pytest.raises(DomainError, match="curve degree must be positive, got 0"):
+        chi_curve_form(CurveInvariants(0, 0), 0, 1)
 
 
 # Endomorphism chi and parity.

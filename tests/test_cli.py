@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 import instanton3
 from instanton3 import chern, cli, errors
 from instanton3.chern import ChernData, chern_from_character, chi_values, euler_characteristic, twist
-from instanton3.chowring import ONE, mul
+from instanton3.chowring import ONE, ChowClass, mul
 from instanton3.cohomtable import MonadType, monad_chern, natural_table, serre_symmetry_check
 from instanton3.cubics import CubicSignAnalysis
 from instanton3.curvelink import (
@@ -28,7 +29,7 @@ from instanton3.curvelink import (
     rational_normal_twist_degree,
     thooft_threshold,
 )
-from instanton3.errors import DomainError, ToolkitError
+from instanton3.errors import DomainError, NonIntegralChernClass, ToolkitError
 from instanton3.moduli import ModuliReport
 from instanton3.spectrum import Spectrum, enumerate_spectra, h1_from_spectrum, h2_from_spectrum
 
@@ -138,12 +139,14 @@ PRECONDITIONS = {
     "rank": (lambda: ChernData(0, 0, 0, 0), "rank must be a positive integer, got 0"),
     "character rank": (lambda: chern_from_character(ONE, 0), "rank must be a positive integer, got 0"),
     "character degree 0": (lambda: chern_from_character(ONE, 2), "degree-0 coefficient 1 does not match rank 2"),
-    "string character rank": (lambda: chern_from_character(ONE, "x"), "rank must be integers, got ('x',)"),
+    "string character rank": (
+        lambda: chern_from_character(ONE, "x"),
+        "rank and Chern classes must be integers, got ('x', 0, 0, 0)",
+    ),
     "monad multiplicities": (lambda: MonadType(-1, 2, 0), "monad multiplicities cannot be negative: (-1, 2, 0)"),
     "monad rank": (lambda: MonadType(1, 2, 1), "monad cohomology must have positive rank, got 0"),
     "cubic degree": (lambda: CubicSignAnalysis((1, 2)), "need a cubic, got degree 1"),
     "curve degree": (lambda: CurveInvariants(0, 0), "curve degree must be positive, got 0"),
-    "rational genus": (lambda: CurveInvariants(3, 1, rational=True), "a rational curve has genus 0, got 1"),
     "stable Ext difference": (
         lambda: ModuliReport(_CHARGE2, -15, 15, ("stable",), None, ()),
         "under stability the Ext difference must be 1 - chi(End)",
@@ -183,12 +186,9 @@ PRECONDITIONS = {
     "spectrum not a tuple": (lambda: Spectrum(5), "spectrum entries must be integers, got 5"),
     "fractional twist k": (lambda: twist(_CHARGE2, 0.5), "k must be integers, got (0.5,)"),
     "twist k above": (lambda: twist(_CHARGE2, 101), _OUT_OF_RANGE.format("k", 101)),
-    "fractional curve-form class": (
-        lambda: chi_curve_form(0.5, 5, 0, 0),
-        "c1, curve degree and genus must be integers, got (0.5, 5, 0)",
-    ),
-    "fractional curve-form twist": (lambda: chi_curve_form(0, 5, 0, 0.5), "m must be integers, got (0.5,)"),
-    "curve-form twist above": (lambda: chi_curve_form(0, 5, 0, 10 ** 6), _OUT_OF_RANGE.format("m", 10 ** 6)),
+    "fractional curve-form class": (lambda: chi_curve_form(_QUINTIC, 0.5, 0), "c1 must be integers, got (0.5,)"),
+    "fractional curve-form twist": (lambda: chi_curve_form(_QUINTIC, 0, 0.5), "m must be integers, got (0.5,)"),
+    "curve-form twist above": (lambda: chi_curve_form(_QUINTIC, 0, 10 ** 6), _OUT_OF_RANGE.format("m", 10 ** 6)),
     "fractional ideal twist": (lambda: chi_ideal_sheaf(_QUINTIC, 0.5), "t must be integers, got (0.5,)"),
     "ideal twist below": (lambda: chi_ideal_sheaf(_QUINTIC, -101), _OUT_OF_RANGE.format("t", -101)),
     "fractional construction charge": (lambda: rational_normal_twist_degree(2.5), "charge must be integers, got (2.5,)"),
@@ -206,7 +206,7 @@ PRECONDITIONS = {
     "edge Serre window -100..96": (lambda: serre_symmetry_check(_CHARGE2, -100, 96), None),
     "edge bound 100": (lambda: enumerate_spectra(1, 100), None),
     "edge k = -100": (lambda: twist(_CHARGE2, -100), None),
-    "edge curve-form m = 100": (lambda: chi_curve_form(0, 5, 0, 100), None),
+    "edge curve-form m = 100": (lambda: chi_curve_form(_QUINTIC, 0, 100), None),
     "edge ideal t = 100": (lambda: chi_ideal_sheaf(_QUINTIC, 100), None),
     "edge h1 l = -100": (lambda: h1_from_spectrum(_ZERO_PAIR, -100), None),
     "edge h2 l = 100": (lambda: h2_from_spectrum(_ZERO_PAIR, 100), None),
@@ -254,17 +254,15 @@ SIZE_PROBES = {
     "ChernData c2": lambda x: ChernData(3, 0, x, 0),
     "ChernData c3": lambda x: ChernData(3, 0, 0, x),
     "ChernData mixed": lambda x: ChernData(3, x, 0.5, "x"),
-    "character rank": lambda x: chern_from_character(ONE, x),
+    "chern_from_character rank": lambda x: chern_from_character(ONE, x),
     "euler_characteristic m": lambda x: euler_characteristic(_CHARGE2, x),
     "chi_values m": lambda x: chi_values(_CHARGE2, [0, x, 0.5]),
     "twist k": lambda x: twist(_CHARGE2, x),
     "chi_ideal_sheaf t": lambda x: chi_ideal_sheaf(_QUINTIC, x),
     "h1_from_spectrum l": lambda x: h1_from_spectrum(_ZERO_PAIR, x),
     "h2_from_spectrum l": lambda x: h2_from_spectrum(_ZERO_PAIR, x),
-    "chi_curve_form c1": lambda x: chi_curve_form(x, 5, 0, 0),
-    "chi_curve_form d": lambda x: chi_curve_form(0, x, 0, 0),
-    "chi_curve_form g": lambda x: chi_curve_form(0, 5, x, 0),
-    "chi_curve_form m": lambda x: chi_curve_form(0, 5, 0, x),
+    "chi_curve_form c1": lambda x: chi_curve_form(_QUINTIC, x, 0),
+    "chi_curve_form m": lambda x: chi_curve_form(_QUINTIC, 0, x),
     "curve_to_bundle c1": lambda x: curve_to_bundle(_QUINTIC, x),
     "rational_normal_twist_degree": rational_normal_twist_degree,
     "chi_f1_charge": chi_f1_charge,
@@ -285,19 +283,45 @@ SIZE_PROBES = {
 }
 
 
-def test_huge_inputs_raise_domain_errors_that_do_not_print_them():
+# Chow classes with one coefficient past the cap.  chern_from_character may
+# refuse them with a NonIntegralChernClass rather than a DomainError, but it
+# must still raise a ToolkitError that does not print the coefficient.
+CHARACTER_PROBES = {
+    "a0 = 10**5000": ChowClass(_HUGE, 0, 0, 0),
+    "a1 = 1/10**5000": ChowClass(3, Fraction(1, _HUGE), 0, 0),
+    "a2 = 1/10**5000": ChowClass(3, 0, Fraction(1, _HUGE), 0),
+    "a3 = 1/10**5000": ChowClass(3, 0, 0, Fraction(1, _HUGE)),
+}
+
+
+def _unrefused(calls, error_type) -> dict:
+    """{key: what happened} for each call not refused by an error_type whose message is under 100 characters."""
     outcomes = {}
-    for name, call in SIZE_PROBES.items():
-        for shown, x in HUGE_VALUES.items():
-            try:
-                call(x)
-                outcomes[name, shown] = "accepted"
-            except DomainError as exc:
-                if len(str(exc)) > 100:
-                    outcomes[name, shown] = "printed"
-            except Exception as exc:  # any other type is what this test exists to catch
-                outcomes[name, shown] = type(exc).__name__
-    assert outcomes == {}
+    for key, call in calls:
+        try:
+            call()
+            outcomes[key] = "accepted"
+        except error_type as exc:
+            if len(str(exc)) >= 100:
+                outcomes[key] = "printed"
+        except Exception as exc:  # any other type is what these tests exist to catch
+            outcomes[key] = type(exc).__name__
+    return outcomes
+
+
+def test_huge_inputs_raise_domain_errors_that_do_not_print_them():
+    calls = (
+        ((name, shown), partial(call, x)) for name, call in SIZE_PROBES.items() for shown, x in HUGE_VALUES.items()
+    )
+    assert _unrefused(calls, DomainError) == {}
+
+
+def test_huge_character_coefficients_raise_toolkit_errors_that_do_not_print_them():
+    calls = ((name, partial(chern_from_character, x, 3)) for name, x in CHARACTER_PROBES.items())
+    assert _unrefused(calls, ToolkitError) == {}
+    # Printable coefficients are still shown.
+    with pytest.raises(NonIntegralChernClass, match="^c1 is not an integer: 1/2$"):
+        chern_from_character(ChowClass(3, Fraction(1, 2), 0, 0), 3)
 
 
 def test_twist_and_monad_results_past_the_digit_cap_are_refused():
@@ -319,7 +343,7 @@ def test_integer_valued_scalar_inputs_are_stored_as_int():
     assert [type(curve.d), type(curve.g)] == [int, int]
     assert twist(_CHARGE2, 1.0) == twist(_CHARGE2, 1)
     assert [type(v) for v in vars(twist(_CHARGE2, Fraction(1))).values()] == [int, int, int, int]
-    assert [type(chi_curve_form(0, 5.0, Fraction(0), -1.0)), type(chi_ideal_sheaf(_QUINTIC, 3.0))] == [int, int]
+    assert [type(chi_curve_form(_QUINTIC, Fraction(0), -1.0)), type(chi_ideal_sheaf(_QUINTIC, 3.0))] == [int, int]
     assert [rational_normal_twist_degree(2.0), thooft_threshold(Fraction(3))] == [3, 2]
     assert [type(h1_from_spectrum(_ZERO_PAIR, -1.0)), type(h2_from_spectrum(_ZERO_PAIR, -3.0))] == [int, int]
 

@@ -34,9 +34,7 @@ def dictionary_bundles(draw):
 def test_curve_invariants_validation():
     with pytest.raises(ValueError):
         CurveInvariants(0, 0)
-    with pytest.raises(ValueError):
-        CurveInvariants(3, 1, rational=True)
-    cv = CurveInvariants(5, 0, rational=True)
+    cv = CurveInvariants(5, 0)
     assert (cv.d, cv.g) == (5, 0)
 
 
@@ -52,6 +50,9 @@ def test_bundle_to_curve_rejections():
         bundle_to_curve(ChernData(3, 0, 2, 1))
     with pytest.raises(DomainError):
         bundle_to_curve(ChernData(3, 0, 0, 0))
+    # The genus relation decides integrality before the degree is read.
+    with pytest.raises(ParityViolation, match="genus relation gave the odd value 3 for 2g"):
+        bundle_to_curve(ChernData(3, 0, 0, 1))
 
 
 def test_curve_to_bundle_pinned_value():
@@ -101,8 +102,7 @@ def test_chi_ideal_sheaf_pinned_values():
 
 @given(st.integers(min_value=2, max_value=20))
 def test_chi_ideal_sheaf_vanishes_untwisted_for_rational_curves(n):
-    cv = CurveInvariants(n + 3, 0, rational=True)
-    assert chi_ideal_sheaf(cv, 0) == 0
+    assert chi_ideal_sheaf(CurveInvariants(n + 3, 0), 0) == 0
 
 
 @given(degrees, genera, st.integers(min_value=-100, max_value=100))

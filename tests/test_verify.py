@@ -1,5 +1,6 @@
 """The claim checklist itself: completeness, honesty, and fault detection."""
 
+import hashlib
 import importlib
 import json
 from dataclasses import fields
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from instanton3 import chern
+from instanton3 import chern, cli, curvelink
 from instanton3.chern import ChernData, _jsonable
 from instanton3.chowring import ChowClass, mul
 from instanton3.verify import (
@@ -315,6 +316,48 @@ def test_chi_sweeps_do_one_ring_product_per_class(monkeypatch, claim_id, product
     (claim,) = [c for c in all_claims() if c.id == claim_id]
     assert run_claim(claim).ok
     assert len(calls) == products
+
+
+def test_parity_claim_fails_when_the_genus_relation_ignores_parity(monkeypatch):
+    # 2g = 2*c3 - 4*c2 + 2 is always even, so the relation finds a genus for
+    # every class; the claim must report each class of odd c3 - c1*c2.  This
+    # holds only while bundle_to_curve leaves integrality to the relation.
+    monkeypatch.setattr(curvelink, "GENUS_RELATION", (2, -4, 0))
+    (claim,) = [c for c in all_claims() if c.id == "parity-genus-consistency"]
+    result = run_claim(claim)
+    assert (result.ok, len(result.actual), result.actual[:1]) == (False, 222, [(-3, 1, -6)])
+
+
+# The verify-paper text and JSON reports, byte for byte, on the clean build
+# and under each mutant: the md5 of the two outputs in that order, and the two
+# exit codes.  Mutant reports carry only ToolkitError messages, so the bytes
+# do not depend on the Python version.
+
+REPORT_DIGESTS = {
+    "clean build": ("bf49136f5c8800a71eaa3442d47acf48", (0, 0)),
+    "Todd H^2 coefficient 11/6 -> 11/5": ("3de68aa5eeba6ed5107d9cdb69ded873", (1, 1)),
+    "Todd H coefficient 2 -> 3": ("5ab415c7471aeb25c571a45bcca711c9", (1, 1)),
+    "chi transcription linear weight 2 -> 3": ("52f541dc5ae7c68b8d281888aff924dd", (1, 1)),
+    "chi transcription quadratic weight 11/6 -> 11/5": ("744fe6f9ff774ff6de2e98fcc4ffb1bd", (1, 1)),
+    "chi(End) constant term 9 -> 8": ("3cede0189dca060f6aeb42221abd9985", (1, 1)),
+    "Ext-difference constant term -8 -> -7": ("430646154b3a961d5089b267f2091f4d", (1, 1)),
+    "Ext-difference c1^2 weight -4 -> 4": ("77febc024ed6ab983de02d9487e7edbd", (1, 1)),
+    "quoted reflexive moduli dimension 19 -> 18": ("407e35418d254b8af6227e2cb176f756", (1, 1)),
+    "quoted extension dimension 3 -> 2": ("407e35418d254b8af6227e2cb176f756", (1, 1)),
+    "genus relation c2 weight -4 -> 4": ("dac298ee87c2230e43fe0801febf4606", (1, 1)),
+    "determinant twist 3 -> 2": ("f7610dd32fa9da155bf1c1859d0ad017", (1, 1)),
+    "spectrum twist shift 1 -> 2": ("748250d3b0fc6eecc08fc2e7bd6f88a9", (1, 1)),
+}
+
+
+@pytest.mark.parametrize("note", REPORT_DIGESTS)
+def test_verify_paper_reports_are_pinned(monkeypatch, capsys, note):
+    assert set(REPORT_DIGESTS) == {"clean build"} | set(MUST_FAIL)
+    for module_name, attr, mutant, target in MUTATION_TARGETS:
+        if target == note:
+            monkeypatch.setattr(importlib.import_module(f"instanton3.{module_name}"), attr, mutant)
+    codes = (cli.main(["verify-paper"]), cli.main(["verify-paper", "--format", "json"]))
+    assert (hashlib.md5(capsys.readouterr().out.encode()).hexdigest(), codes) == REPORT_DIGESTS[note]
 
 
 def test_checklist_recovers_after_mutations():

@@ -10,13 +10,14 @@ cubics with fewer are rejected.
 
 The kernel works on the integer cubic N = D*chi of ``chi_numerators``,
 built once per class.  Three sign-change roots means three simple real
-roots, which is exactly a positive discriminant of N.  With roots
-r1 < r2 < r3 interlaced with the critical points, the signs of N, N' and
-N'' at a twist say which gap it lies in (real-root counting as in Basu,
-Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2):
+roots, which is exactly a positive discriminant of N.  Then the critical
+points interlace the roots, r1 < c1 < r2 < c2 < r3, and the sign of N and
+one bracket per sign say which gap a twist lies in (critical-point form
+of Thom's lemma, Basu, Pollack and Roy, *Algorithms in Real Algebraic
+Geometry*, ch. 2).  With s = isqrt(n2^2 - 3*n1*n3) and m = 3*n3, set once:
 
-    N < 0:  below r1 (N' > 0, N'' <= 0)  -> index 3, else between r2, r3 -> 1
-    N > 0:  above r3 (N' > 0, N'' > 0)   -> index 0, else between r1, r2 -> 2
+    N < 0:  t <= lo = (-n2 - s - 1) // m (t < c1, below r1) -> 3, else -> 1
+    N > 0:  t > hi = (s - n2) // m (t > c2, above r3)       -> 0, else -> 2
 
 Everything is integer arithmetic: root positions are never approximated.
 ``cubics.CubicSignAnalysis`` answers the same questions with an exact Sturm
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Mapping
 
 from .chern import ChernData, _jsonable, chern_from_character, chi_numerators, dual, validate_parity
@@ -118,21 +120,18 @@ def natural_table(d: ChernData, t_min: int, t_max: int) -> CohomTable:
             f"chi cubic of {d} has 1 sign change(s); "
             "the index walk from h^3 to h^0 needs 3"
         )
+    s, m = isqrt(n2 * n2 - 3 * n1 * n3), 3 * n3  # c1, c2 = (-n2 -+ sqrt(...)) / m
+    lo, hi = (-n2 - s - 1) // m, (s - n2) // m  # t < c1 iff t <= lo; t > c2 iff t > hi
     rows: dict[int, Row] = {}
     for t in range(t_min, t_max + 1):
         n_t = ((n3 * t + n2) * t + n1) * t + n0
         chi, rest = divmod(n_t, den)
         if rest:
             raise NonIntegralChi(f"chi at twist {t} is not an integer: {Fraction(n_t, den)}")
-        rising = (3 * n3 * t + 2 * n2) * t + n1 > 0  # N'(t) > 0
-        convex = 3 * n3 * t + n2 > 0  # N''(t) > 0
         if n_t < 0:
-            index = 3 if rising and not convex else 1
+            rows[t] = (0, 0, 0, -chi) if t <= lo else (0, -chi, 0, 0)
         else:
-            index = 0 if rising and convex else 2
-        row = [0, 0, 0, 0]
-        row[index] = abs(chi)
-        rows[t] = tuple(row)
+            rows[t] = (chi, 0, 0, 0) if t > hi else (0, 0, chi, 0)
     return CohomTable(chern=d, rows=rows)
 
 

@@ -55,8 +55,6 @@ def bundle_to_curve(d3: ChernData) -> CurveInvariants:
     two_g = wc3 * d3.c3 + wc2 * d3.c2 + wc12 * d3.c1 * d3.c2 + 2
     if two_g % 2:
         raise ParityViolation(f"genus relation gave the odd value {two_g} for 2g")
-    if d3.c2 < 1:
-        raise DomainError(f"c2 must be positive to name a curve degree, got {d3.c2}")
     return CurveInvariants(d=d3.c2, g=two_g // 2)
 
 

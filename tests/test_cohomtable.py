@@ -279,8 +279,30 @@ def test_big_charge_table_is_pinned():
 @example((ChernData(3, 0, 2, 0), -100, -101))  # twist bound before empty window
 @example((ChernData(3, 0, -5, 1), -3, 1))  # parity before naturalizability
 @example((ChernData(2, 0, 2, 1), -3, 3))  # no parity rule outside rank 3
+@example((ChernData(3, 4, 9, 16), -100, 100))  # critical point c1 = -5 exactly
+@example((ChernData(3, -4, 9, -16), -100, 100))  # critical point c2 = 1 exactly
+@example((ChernData(3, -2, 13, 38), -100, 100))  # roots r2 and r3 both in (1, 2)
+@example((ChernData(3, 0, 1, 0), -100, 100))  # r1 in (-4, c1 = -3), r3 in (c2 = -1, 0)
 def test_kernel_matches_oracles(window):
     assert kernel_outcome(*window) == reference_outcome(*window)
+
+
+def test_rows_on_the_critical_point_brackets():
+    # A twist on a critical point is on neither side of it: c1 = -5 and
+    # c2 = 1 are exact here, and N > 0 at c1, N < 0 at c2.
+    assert natural_table(ChernData(3, 4, 9, 16), -5, -5).rows == {-5: (0, 0, 9, 0)}
+    assert natural_table(ChernData(3, -4, 9, -16), 1, 1).rows == {1: (0, 9, 0, 0)}
+    # r2 and r3 lie in (1, 2): both index changes fall between two twists.
+    assert natural_table(ChernData(3, -2, 13, 38), 1, 2).rows == {1: (0, 0, 1, 0), 2: (1, 0, 0, 0)}
+    # Charge 1: r1 lies in (-4, c1 = -3) and r3 in (c2 = -1, 0), so the rows
+    # -4 and 0 are the nearest twists beyond lo = -4 and hi = -1.
+    assert natural_table(ChernData(3, 0, 1, 0), -4, 0).rows == {
+        -4: (0, 0, 0, 1),
+        -3: (0, 0, 1, 0),
+        -2: (0, 0, 0, 0),
+        -1: (0, 1, 0, 0),
+        0: (1, 0, 0, 0),
+    }
 
 
 @given(wide_windows())
@@ -289,7 +311,8 @@ def test_kernel_matches_oracles(window):
 def test_populated_index_matches_chi_sign(window):
     # natural_table writes |chi| with no sign check: its index rule takes the
     # parity from the sign of N = D*chi alone (odd below zero, even at or
-    # above), whatever N' and N'' decide, so the entry is never negative.
+    # above), whatever the brackets lo and hi decide, so the entry is never
+    # negative.
     d, t_min, t_max = window
     try:
         rows = natural_table(d, t_min, t_max).rows

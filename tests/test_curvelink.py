@@ -48,7 +48,8 @@ def test_bundle_to_curve_rejections():
         bundle_to_curve(ChernData(2, 0, 2, 0))
     with pytest.raises(ParityViolation):
         bundle_to_curve(ChernData(3, 0, 2, 1))
-    with pytest.raises(DomainError):
+    # CurveInvariants alone owns d >= 1, so the refusal names the curve degree.
+    with pytest.raises(DomainError, match="curve degree must be positive, got 0"):
         bundle_to_curve(ChernData(3, 0, 0, 0))
     # The genus relation decides integrality before the degree is read.
     with pytest.raises(ParityViolation, match="genus relation gave the odd value 3 for 2g"):

@@ -31,7 +31,7 @@ from instanton3.curvelink import (
 )
 from instanton3.errors import DomainError, NonIntegralChernClass, ToolkitError
 from instanton3.moduli import ModuliReport
-from instanton3.spectrum import Spectrum, enumerate_spectra, h1_from_spectrum, h2_from_spectrum
+from instanton3.spectrum import Spectrum, enumerate_spectra, h1_from_spectrum, h2_from_spectrum, is_instanton_spectrum
 
 CHARGE2_TABLE = "\n".join(
     [
@@ -419,8 +419,36 @@ def test_spectra_json(capsys):
     assert run_cli(capsys, "spectra", "2", "--bound", "1", "--format", "json") == (0, SPECTRA_2_JSON, "")
 
 
-# sha256 and byte count of whole outputs: spectra listings in both formats,
-# and the chi and table JSON, which write Chern data through chern._jsonable.
+# Every length 1..6 at bounds 1..4, then the six searches of the cli-mix benchmark.
+SPECTRA_SEARCHES = [(n, b) for n in range(1, 7) for b in range(1, 5)]
+SPECTRA_SEARCHES += [(4, 8), (3, 20), (8, 4), (4, 12), (5, 9), (4, 15)]
+
+
+@pytest.mark.parametrize("n,bound", SPECTRA_SEARCHES)
+def test_spectra_json_is_the_indented_json_document(capsys, n, bound):
+    # The JSON listing is exactly what json.dumps(indent=2, sort_keys=True)
+    # makes of the search, and the text listing names the same spectra in order.
+    found = list(enumerate_spectra(n, bound))
+    entries = [
+        {
+            "ks": list(sp.ks),
+            "h1_minus2": h1_from_spectrum(sp, -2),
+            "h2_minus2": h2_from_spectrum(sp, -2),
+            "instanton": is_instanton_spectrum(sp),
+        }
+        for sp in found
+    ]
+    doc = {"n": n, "bound": bound, "spectra": entries}
+    argv = ("spectra", str(n), "--bound", str(bound))
+    assert run_cli(capsys, *argv, "--format", "json") == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n", "")
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert [line.split(":")[0] for line in out.splitlines()] == [f"({','.join(map(str, sp.ks))})" for sp in found]
+
+
+# sha256 and byte count of whole outputs: spectra listings in both formats
+# (every cli-mix search in JSON, and a one-entry search), and the chi and
+# table JSON, which write Chern data through chern._jsonable.
 CLI_DIGESTS = {
     "spectra 5 --bound 9": ("925f7fb6cd9608fe3ad8ed5d258c41f627610c3823c565757b81ee552dfbf600", 46061),
     "spectra 5 --bound 9 --format json": ("24b01466e577edfa1fcce10057ab621a72a260dc654971e7253c232b57e66e24", 157310),
@@ -429,6 +457,11 @@ CLI_DIGESTS = {
     "chi 3 0 2 0 --m 1 --format json": ("fbfe5d96689e0c903358870e8bee4b92ea8b273d4d572f81c70a4e0b798abe52", 70),
     "table 3 0 2 0 -5 1 --format json": ("1eda1e59cf0af0b773a3f2e5c9a03ffec312c3cb28c96b9ad97adc5da32211ed", 706),
     "table 3 3 5 3 -100 100 --format json": ("432c9f64875b5cfc1f5bb4f0d8751c5091ca509b9c4b15e2c0fec42561f33c65", 19427),
+    "spectra 4 --bound 8 --format json": ("5ecc12ad196e93431d5a830fed56daad26bd3ce31a1ad2072f16f61f1e85f149", 26657),
+    "spectra 3 --bound 20 --format json": ("a27ea3500f2820c5f7df3c854683d84d113f1cb78e471683a0008857733b788d", 31279),
+    "spectra 4 --bound 12 --format json": ("f67cb24b3295458ef334f5e18207eb8391caafa3e563a58cfeca76930e5811b7", 78970),
+    "spectra 4 --bound 15 --format json": ("6508c5a6988d163d073b7ece3822f8b3c8db4c1a7c2ece7326cac8f2ed31c7b2", 146233),
+    "spectra 1 --bound 1 --format json": ("7c18363374ce78efe02a713548503c6437aef5b91b0101583bc1e80f78f169e5", 160),
 }
 
 

@@ -62,14 +62,18 @@ def cmd_spectra(args: argparse.Namespace) -> int:
         (sp.ks, h1_from_spectrum(sp, -2), h2_from_spectrum(sp, -2), is_instanton_spectrum(sp))
         for sp in enumerate_spectra(args.n, args.bound)
     ]
+    # Neither list is ever empty: n >= 1, and the all-zero spectrum is always found.
     if args.format == "json":
-        entries = [
-            {"ks": list(ks), "h1_minus2": h1, "h2_minus2": h2, "instanton": instanton}
+        # json.dumps(indent=2, sort_keys=True) byte for byte, without its pure-Python indent encoder.
+        ks_sep = ",\n        "
+        entries = ",\n".join(
+            f'    {{\n      "h1_minus2": {h1},\n      "h2_minus2": {h2},\n'
+            f'      "instanton": {str(instanton).lower()},\n'
+            f'      "ks": [\n        {ks_sep.join(map(str, ks))}\n      ]\n    }}'
             for ks, h1, h2, instanton in rows
-        ]
-        _print_json({"n": args.n, "bound": args.bound, "spectra": entries})
+        )
+        print(f'{{\n  "bound": {args.bound},\n  "n": {args.n},\n  "spectra": [\n{entries}\n  ]\n}}')
     else:
-        # Never empty: the all-zero spectrum is always found.
         print(
             "\n".join(
                 f"({','.join(map(str, ks))}): h1(-2)={h1} h2(-2)={h2} instanton={'yes' if instanton else 'no'}"

@@ -428,7 +428,7 @@ SPECTRA_SEARCHES += [(4, 8), (3, 20), (8, 4), (4, 12), (5, 9), (4, 15)]
 def test_spectra_json_is_the_indented_json_document(capsys, n, bound):
     # The JSON listing is exactly what json.dumps(indent=2, sort_keys=True)
     # makes of the search, and the text listing names the same spectra in order.
-    found = list(enumerate_spectra(n, bound))
+    found = enumerate_spectra(n, bound)
     entries = [
         {
             "ks": list(sp.ks),

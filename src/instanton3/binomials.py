@@ -1,19 +1,11 @@
-"""The two conventions for the cubic binomial coefficient C(a, 3).
+"""The cubic binomial coefficient C(a, 3) as a polynomial in a.
 
 Every chi in the package uses the signed cubic itself (``binom3_poly``),
-since chi is a polynomial in the twist.  ``binom3`` is the truncated count
-(zero below a = 3), the h^0 of a line bundle on P^3; the two disagree
-exactly when a <= -1.
+since chi is a polynomial in the twist.  For a >= 0 it agrees with the
+truncated count ``math.comb(a, 3)``; the two disagree exactly when a <= -1.
 """
 
 from __future__ import annotations
-
-
-def binom3(a: int) -> int:
-    """Ways to choose 3 out of a: zero whenever a < 3."""
-    if a < 3:
-        return 0
-    return a * (a - 1) * (a - 2) // 6
 
 
 def binom3_poly(a: int) -> int:

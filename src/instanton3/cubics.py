@@ -100,16 +100,15 @@ class CubicSignAnalysis:
     """Root structure of one cubic, computed once and queried exactly.
 
     ``sign_changes`` is the number of distinct odd-multiplicity real roots,
-    the locations where the cubic changes sign.  ``even_roots`` holds any
-    even-multiplicity root; for a cubic there is at most one and it is
-    always rational, so it is reported exactly.
+    the locations where the cubic changes sign, and ``odd_roots_below(t)``
+    counts those strictly below t.  An even-multiplicity root never changes
+    the sign, so neither answer counts it.
     """
 
     def __init__(self, coeffs) -> None:
         p = _trim([Fraction(c) for c in coeffs])
         if _degree(p) != 3:
             raise DomainError(f"need a cubic, got degree {_degree(p)}")
-        self.coeffs: tuple[Fraction, ...] = tuple(p)
         dp = _derivative(p)
         g = _gcd(p, dp)
         if _degree(g) == 0:
@@ -117,7 +116,6 @@ class CubicSignAnalysis:
             # exact counts; irrational roots never need to be located.
             self._chain = _sturm_chain(p)
             self._odd_roots: tuple[Fraction, ...] | None = None
-            self.even_roots: tuple[Fraction, ...] = ()
             at_minus_inf = [_sign(s[-1]) * (-1 if _degree(s) % 2 else 1) for s in self._chain]
             at_plus_inf = [_sign(s[-1]) for s in self._chain]
             self._v_minus_inf = _variations(at_minus_inf)
@@ -129,7 +127,6 @@ class CubicSignAnalysis:
             sigma = -p[2] / p[3] - 2 * rho
             self._chain = None
             self._odd_roots = (sigma,)
-            self.even_roots = (rho,)
             self.sign_changes = 1
         else:
             # gcd of degree 2 means a triple root: odd multiplicity, one
@@ -137,7 +134,6 @@ class CubicSignAnalysis:
             rho = -p[2] / (3 * p[3])
             self._chain = None
             self._odd_roots = (rho,)
-            self.even_roots = ()
             self.sign_changes = 1
 
     def odd_roots_below(self, t) -> int:
@@ -147,6 +143,3 @@ class CubicSignAnalysis:
             return sum(1 for r in self._odd_roots if r < t)
         left = [_sign_left_of(s, t) for s in self._chain]
         return self._v_minus_inf - _variations(left)
-
-    def is_root(self, t) -> bool:
-        return _evaluate(list(self.coeffs), Fraction(t)) == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from instanton3.binomials import binom3, binom3_poly
+from instanton3.binomials import binom3_poly
 from instanton3.chern import (
     ChernData,
     ChiPolynomial,
@@ -48,10 +48,6 @@ def rank3_parity_data(draw):
 # The binomial conventions.
 
 
-def test_binom3_truncates_below_three():
-    assert [binom3(a) for a in range(-3, 7)] == [0, 0, 0, 0, 0, 0, 1, 4, 10, 20]
-
-
 def test_binom3_poly_is_signed():
     assert binom3_poly(-1) == -1
     assert binom3_poly(-2) == -4
@@ -66,7 +62,7 @@ def test_binom3_poly_is_the_exact_cubic(a):
 
 @given(st.integers(min_value=0, max_value=200))
 def test_binomial_conventions_agree_for_nonnegative(a):
-    assert binom3(a) == binom3_poly(a)
+    assert math.comb(a, 3) == binom3_poly(a)
 
 
 # Characters and their inversion.

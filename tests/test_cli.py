@@ -12,6 +12,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from test_verify import REPORT_DIGESTS
 
 import instanton3
 from instanton3 import chern, cli, errors
@@ -447,8 +448,9 @@ def test_spectra_json_is_the_indented_json_document(capsys, n, bound):
 
 
 # sha256 and byte count of whole outputs: spectra listings in both formats
-# (every cli-mix search in JSON, and a one-entry search), and the chi and
-# table JSON, which write Chern data through chern._jsonable.
+# (every cli-mix search in JSON, and a one-entry search), the chi and table
+# JSON, which write Chern data through chern._jsonable, and one wide table
+# as text.
 CLI_DIGESTS = {
     "spectra 5 --bound 9": ("925f7fb6cd9608fe3ad8ed5d258c41f627610c3823c565757b81ee552dfbf600", 46061),
     "spectra 5 --bound 9 --format json": ("24b01466e577edfa1fcce10057ab621a72a260dc654971e7253c232b57e66e24", 157310),
@@ -457,6 +459,7 @@ CLI_DIGESTS = {
     "chi 3 0 2 0 --m 1 --format json": ("fbfe5d96689e0c903358870e8bee4b92ea8b273d4d572f81c70a4e0b798abe52", 70),
     "table 3 0 2 0 -5 1 --format json": ("1eda1e59cf0af0b773a3f2e5c9a03ffec312c3cb28c96b9ad97adc5da32211ed", 706),
     "table 3 3 5 3 -100 100 --format json": ("432c9f64875b5cfc1f5bb4f0d8751c5091ca509b9c4b15e2c0fec42561f33c65", 19427),
+    "table 3 3 5 3 -100 100": ("8480b7bc2284377598172c04dfc1b26e1bae19690d5f81ffcea774290fedeb68", 5858),
     "spectra 4 --bound 8 --format json": ("5ecc12ad196e93431d5a830fed56daad26bd3ce31a1ad2072f16f61f1e85f149", 26657),
     "spectra 3 --bound 20 --format json": ("a27ea3500f2820c5f7df3c854683d84d113f1cb78e471683a0008857733b788d", 31279),
     "spectra 4 --bound 12 --format json": ("f67cb24b3295458ef334f5e18207eb8391caafa3e563a58cfeca76930e5811b7", 78970),
@@ -493,14 +496,47 @@ def test_verify_paper_passes_on_a_clean_build(capsys):
     assert lines[-1] == "49 claims: 49 passed, 0 failed"
 
 
+# Runs ``python -m instanton3 <argv>`` once per argv read from stdin, in one
+# interpreter, and writes each exit code, stdout and stderr as JSON.
+_REPLAY_MODULE_RUNS = """
+import contextlib, io, json, runpy, sys
+runs = []
+for argv in json.load(sys.stdin):
+    sys.argv = ["instanton3", *argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            runpy.run_module("instanton3", run_name="__main__")
+        except SystemExit as exc:
+            runs.append((exc.code, out.getvalue(), err.getvalue()))
+json.dump({"optimize": sys.flags.optimize, "runs": runs}, sys.stdout)
+"""
+
+
 def test_verify_paper_passes_under_python_O():
+    # python -O strips asserts: every pinned refusal, every pinned digest and
+    # the clean-build verify-paper report pair must come out unchanged.
+    argvs = [*REFUSALS, *CLI_DIGESTS, "verify-paper", "verify-paper --format json"]
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "instanton3", "verify-paper"],
+        [sys.executable, "-O", "-c", _REPLAY_MODULE_RUNS],
+        input=json.dumps([argv.split() for argv in argvs]),
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == cli.EXIT_OK
-    assert proc.stdout.splitlines()[-1] == "49 claims: 49 passed, 0 failed"
+    assert (proc.returncode, proc.stderr) == (0, "")
+    replay = json.loads(proc.stdout)
+    assert replay["optimize"] == 1
+    runs = dict(zip(argvs, map(tuple, replay["runs"])))
+    assert list(runs) == argvs
+    for argv, message in REFUSALS.items():
+        assert runs[argv] == (cli.EXIT_USAGE, "", f"error: {message}\n"), argv
+    for argv, digest in CLI_DIGESTS.items():
+        rc, out, err = runs[argv]
+        data = out.encode()
+        assert (rc, err, (hashlib.sha256(data).hexdigest(), len(data))) == (cli.EXIT_OK, "", digest), argv
+    (text_rc, text, _), (json_rc, doc, _) = runs["verify-paper"], runs["verify-paper --format json"]
+    assert text.splitlines()[-1] == "49 claims: 49 passed, 0 failed"
+    assert (hashlib.md5((text + doc).encode()).hexdigest(), (text_rc, json_rc)) == REPORT_DIGESTS["clean build"]
 
 
 def test_package_source_has_no_assert_statements():

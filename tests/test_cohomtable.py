@@ -1,10 +1,12 @@
 """Natural-cohomology tables: the index walk, monads, and Serre symmetry."""
 
+import math
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from instanton3.binomials import binom3
+from instanton3 import cohomtable
 from instanton3.chern import ChernData, chern_character, chi_polynomial, chi_values, euler_characteristic, validate_parity
 from instanton3.chowring import degree, exp_line, mul, todd_p3
 from instanton3.cohomtable import (
@@ -58,9 +60,9 @@ def test_line_bundle_table():
     for t in range(-8, 5):
         row = tbl.rows[t]
         if t >= 0:
-            assert row == (binom3(t + 3), 0, 0, 0)
+            assert row == (math.comb(t + 3, 3), 0, 0, 0)
         elif t <= -4:
-            assert row == (0, 0, 0, binom3(-t - 1))
+            assert row == (0, 0, 0, math.comb(-t - 1, 3))
         else:
             assert row == (0, 0, 0, 0)
 
@@ -187,8 +189,11 @@ def test_serre_symmetry_across_the_charge_family(n):
     assert serre_symmetry_check(ChernData(3, 0, n, 0), -8, 4)
 
 
-def test_serre_symmetry_with_nonzero_c1():
+def test_serre_symmetry_with_nonzero_c1(monkeypatch):
     assert serre_symmetry_check(ChernData(3, 3, 5, 3), -9, 5)
+    # Mirroring the class itself instead of its dual tampers the mirrored table.
+    monkeypatch.setattr(cohomtable, "dual", lambda d: d)
+    assert not serre_symmetry_check(ChernData(3, 3, 5, 3), -9, 5)
 
 
 # The integer kernel against the Sturm oracle and the two-product ring route.

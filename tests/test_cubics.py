@@ -76,30 +76,26 @@ def test_rejects_non_cubics():
         CubicSignAnalysis((0, 0, 0, 0))
 
 
-def test_coefficients_are_stored_exactly():
-    analysis = CubicSignAnalysis((-1, Fraction(7, 2), 3, Fraction(1, 2)))
-    assert analysis.coeffs == (-1, Fraction(7, 2), 3, Fraction(1, 2))
-
-
 # Pinned root structures, one per branch of the decomposition.
 
 
 def test_charge2_chi_cubic_counts():
     # Roots are -2 - sqrt(5), -2, -2 + sqrt(5): two of them irrational.
-    analysis = CubicSignAnalysis((-1, Fraction(7, 2), 3, Fraction(1, 2)))
+    coeffs = (-1, Fraction(7, 2), 3, Fraction(1, 2))
+    analysis = CubicSignAnalysis(coeffs)
     assert analysis.sign_changes == 3
-    assert analysis.even_roots == ()
-    assert analysis.is_root(-2)
+    assert evaluate(coeffs, -2) == 0
     assert [analysis.odd_roots_below(t) for t in (-5, -4, -2, -1, 0, 1)] == [0, 1, 1, 2, 2, 3]
 
 
 def test_hidden_root_pair_between_integers():
     # (1/2)m^3 - 5m^2 + (9/2)m - 1: negative at 0 and 1 but positive at 1/2,
     # so integer sampling misses the two roots inside (0, 1).
-    analysis = CubicSignAnalysis((-1, Fraction(9, 2), -5, Fraction(1, 2)))
-    assert evaluate(analysis.coeffs, 0) < 0
-    assert evaluate(analysis.coeffs, Fraction(1, 2)) > 0
-    assert evaluate(analysis.coeffs, 1) < 0
+    coeffs = (-1, Fraction(9, 2), -5, Fraction(1, 2))
+    analysis = CubicSignAnalysis(coeffs)
+    assert evaluate(coeffs, 0) < 0
+    assert evaluate(coeffs, Fraction(1, 2)) > 0
+    assert evaluate(coeffs, 1) < 0
     assert analysis.sign_changes == 3
     assert analysis.odd_roots_below(0) == 0
     assert analysis.odd_roots_below(1) == 2
@@ -107,19 +103,19 @@ def test_hidden_root_pair_between_integers():
 
 
 def test_triple_root():
-    analysis = CubicSignAnalysis((-1, 3, -3, 1))  # (x - 1)^3
+    coeffs = (-1, 3, -3, 1)  # (x - 1)^3
+    analysis = CubicSignAnalysis(coeffs)
     assert analysis.sign_changes == 1
-    assert analysis.even_roots == ()
-    assert analysis.is_root(1)
+    assert evaluate(coeffs, 1) == 0
     assert analysis.odd_roots_below(1) == 0
     assert analysis.odd_roots_below(Fraction(9, 8)) == 1
 
 
 def test_double_plus_simple_root():
-    analysis = CubicSignAnalysis((-2, -3, 0, 1))  # (x + 1)^2 (x - 2)
+    coeffs = (-2, -3, 0, 1)  # (x + 1)^2 (x - 2)
+    analysis = CubicSignAnalysis(coeffs)
     assert analysis.sign_changes == 1
-    assert analysis.even_roots == (-1,)
-    assert analysis.is_root(-1) and analysis.is_root(2)
+    assert evaluate(coeffs, -1) == 0 and evaluate(coeffs, 2) == 0
     assert analysis.odd_roots_below(0) == 0
     assert analysis.odd_roots_below(2) == 0
     assert analysis.odd_roots_below(3) == 1
@@ -128,7 +124,6 @@ def test_double_plus_simple_root():
 def test_single_irrational_root():
     analysis = CubicSignAnalysis((-2, 0, 0, 1))  # x^3 - 2
     assert analysis.sign_changes == 1
-    assert analysis.even_roots == ()
     assert analysis.odd_roots_below(1) == 0
     assert analysis.odd_roots_below(2) == 1
 
@@ -140,28 +135,14 @@ def test_single_irrational_root():
 def test_structure_matches_discriminant(coeffs):
     analysis = CubicSignAnalysis(coeffs)
     disc = discriminant(coeffs)
-    if disc > 0:
-        assert analysis.sign_changes == 3
-        assert analysis.even_roots == ()
-    elif disc < 0:
-        assert analysis.sign_changes == 1
-        assert analysis.even_roots == ()
-    elif is_triple(coeffs):
-        assert analysis.sign_changes == 1
-        assert analysis.even_roots == ()
-    else:
-        assert analysis.sign_changes == 1
-        rho = analysis.even_roots[0]
-        assert evaluate(coeffs, rho) == 0
-
-
-@given(factored_cubics())
-def test_even_roots_are_double_roots(coeffs):
-    analysis = CubicSignAnalysis(coeffs)
-    derivative = [i * Fraction(c) for i, c in enumerate(coeffs)][1:]
-    for rho in analysis.even_roots:
-        assert evaluate(coeffs, rho) == 0
-        assert evaluate(derivative + [Fraction(0)], rho) == 0
+    assert analysis.sign_changes == (3 if disc > 0 else 1)
+    if disc == 0 and not is_triple(coeffs):
+        # A double root beside a simple root sigma, which the classical
+        # closed form gives; sigma is the one place the sign changes.
+        d, c, b, a = (Fraction(x) for x in coeffs)
+        sigma = (4 * a * b * c - 9 * a * a * d - b ** 3) / (a * (b * b - 3 * a * c))
+        assert evaluate(coeffs, sigma) == 0
+        assert (analysis.odd_roots_below(sigma), analysis.odd_roots_below(sigma + 1)) == (0, 1)
 
 
 @given(any_cubics, probe_points)
@@ -199,7 +180,6 @@ def test_analysis_is_scale_invariant(coeffs, t):
     analysis = CubicSignAnalysis(coeffs)
     negated = CubicSignAnalysis(tuple(-Fraction(c) for c in coeffs))
     assert negated.sign_changes == analysis.sign_changes
-    assert negated.even_roots == analysis.even_roots
     assert negated.odd_roots_below(t) == analysis.odd_roots_below(t)
 
 
@@ -211,9 +191,7 @@ def test_counts_match_known_roots(data, t):
     analysis = CubicSignAnalysis(coeffs)
     multiplicity = Counter(roots)
     odd = {r for r, m in multiplicity.items() if m % 2}
-    even = {r for r, m in multiplicity.items() if m % 2 == 0}
     assert analysis.sign_changes == len(odd)
-    assert set(analysis.even_roots) == even
     assert analysis.odd_roots_below(t) == sum(1 for r in odd if r < t)
     for r in roots:
-        assert analysis.is_root(r)
+        assert evaluate(coeffs, r) == 0

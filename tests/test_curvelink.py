@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from instanton3 import curvelink
 from instanton3.chern import ChernData, euler_characteristic
 from instanton3.curvelink import (
     CurveInvariants,
@@ -56,9 +57,13 @@ def test_bundle_to_curve_rejections():
         bundle_to_curve(ChernData(3, 0, 0, 1))
 
 
-def test_curve_to_bundle_pinned_value():
+def test_curve_to_bundle_pinned_value(monkeypatch):
     assert curve_to_bundle(CurveInvariants(2, -3), 0) == ChernData(3, 0, 2, 0)
     assert curve_to_bundle(CurveInvariants(5, 0), 3) == ChernData(3, 3, 5, 3)
+    # With c3 weighted 2, the same curve leaves 2*c3 = 3: no integer c3.
+    monkeypatch.setattr(curvelink, "GENUS_RELATION", (2, -4, 1))
+    with pytest.raises(ParityViolation, match="genus relation has no integer c3 for d=5, g=0, c1=3"):
+        curve_to_bundle(CurveInvariants(5, 0), 3)
 
 
 @given(dictionary_bundles())

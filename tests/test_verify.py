@@ -164,9 +164,13 @@ def test_failure_renders_in_reports():
 
 
 def test_fraction_rendering_in_json():
-    results = [run_claim(Claim("leak", "half", 1, lambda: Fraction(1, 2)))]
+    # A value with no JSON rule of its own, such as a float, falls back to repr.
+    results = [
+        run_claim(Claim("leak", "half", 1, lambda: Fraction(1, 2))),
+        run_claim(Claim("float", "one and a half", 1, lambda: 1.5)),
+    ]
     payload = report_json_dict(results)
-    assert payload["claims"][0]["actual"] == "1/2"
+    assert [c["actual"] for c in payload["claims"]] == ["1/2", "1.5"]
     assert payload["claims"][0]["pass"] is False
 
 

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from instanton3.chern import ChernData, ChiPolynomial
 from instanton3.chowring import ONE, ChowClass, add, degree, exp_line, mul, todd_p3
+from instanton3.cohomtable import CohomTable, MonadType
+from instanton3.curvelink import CurveInvariants
+from instanton3.moduli import DerivationStep, ModuliReport
+from instanton3.spectrum import Spectrum
+from instanton3.verify import Claim, ClaimResult
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -96,8 +102,68 @@ def test_exp_line_inverse(k):
     assert mul(exp_line(k), exp_line(-k)) == ONE
 
 
-def test_chow_class_is_hashable_and_frozen():
-    x = ChowClass(1, 0, 0, 0)
-    assert hash(x) == hash(ONE)
-    with pytest.raises(AttributeError):
-        x.a0 = 2
+CHARGE2 = ChernData(3, 0, 2, 0)
+
+#: One instance of each record type: how to build it, its field names, and its repr.
+RECORDS = [
+    (lambda: ChernData(3, 3, 5, 3), ("rank", "c1", "c2", "c3"), "ChernData(rank=3, c1=3, c2=5, c3=3)"),
+    (
+        lambda: ChiPolynomial((1, Fraction(11, 6), 2, Fraction(1, 2))),
+        ("coeffs",),
+        "ChiPolynomial(coeffs=(Fraction(1, 1), Fraction(11, 6), Fraction(2, 1), Fraction(1, 2)))",
+    ),
+    (
+        lambda: ChowClass(3, 0, -2, Fraction(1, 6)),
+        ("a0", "a1", "a2", "a3"),
+        "ChowClass(a0=Fraction(3, 1), a1=Fraction(0, 1), a2=Fraction(-2, 1), a3=Fraction(1, 6))",
+    ),
+    (lambda: MonadType(2, 7, 2), ("a", "b", "c"), "MonadType(a=2, b=7, c=2)"),
+    (
+        lambda: CohomTable(CHARGE2, {-1: (0, 2, 0, 0), 1: (6, 0, 0, 0)}),
+        ("chern", "rows"),
+        "CohomTable(chern=ChernData(rank=3, c1=0, c2=2, c3=0), rows={-1: (0, 2, 0, 0), 1: (6, 0, 0, 0)})",
+    ),
+    (lambda: Spectrum((-1, 1)), ("ks",), "Spectrum(ks=(-1, 1))"),
+    (
+        lambda: DerivationStep("fiber", 6, "chi(F(1))"),
+        ("quantity", "value", "provenance"),
+        "DerivationStep(quantity='fiber', value=6, provenance='chi(F(1))')",
+    ),
+    (
+        lambda: ModuliReport(CHARGE2, -15, 16, ("stable",), None, (DerivationStep("chi(End F)", -15, "Riemann-Roch"),)),
+        ("chern", "chi_end", "ext_diff", "hypotheses", "dimension", "derivation"),
+        "ModuliReport(chern=ChernData(rank=3, c1=0, c2=2, c3=0), chi_end=-15, ext_diff=16, hypotheses=('stable',), "
+        "dimension=None, derivation=(DerivationStep(quantity='chi(End F)', value=-15, provenance='Riemann-Roch'),))",
+    ),
+    (lambda: CurveInvariants(5, 0), ("d", "g"), "CurveInvariants(d=5, g=0)"),
+    (
+        lambda: Claim("c", "two", 2, int),
+        ("id", "statement", "expected", "compute"),
+        "Claim(id='c', statement='two', expected=2, compute=<class 'int'>)",
+    ),
+    (
+        lambda: ClaimResult(Claim("c", "two", 2, int), 0, False, "no"),
+        ("claim", "actual", "ok", "error"),
+        "ClaimResult(claim=Claim(id='c', statement='two', expected=2, compute=<class 'int'>), actual=0, ok=False, "
+        "error='no')",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, names, shown", RECORDS, ids=[shown[: shown.index("(")] for _, _, shown in RECORDS])
+def test_record_is_hashable_and_frozen(make, names, shown):
+    # Records compare by exact type and field tuple: never equal to a plain
+    # tuple, nor to another type holding the same values.
+    x, copy = make(), make()
+    assert x == copy and hash(x) == hash(copy)
+    values = tuple(getattr(x, name) for name in names)
+    other = type("Other", (type(x),), {})(*values)
+    assert x != values and values != x
+    assert x != other and other != x
+    assert repr(x) == shown
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == copy

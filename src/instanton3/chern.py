@@ -10,12 +10,11 @@ checklist insist the two routes coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .chowring import ChowClass, degree, exp_line, mul, todd_p3
-from .errors import MAX_DIGITS, MAX_INT, DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported, _integers, _twist
+from .errors import MAX_DIGITS, MAX_INT, DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported, Record, _integers, _twist
 
 #: Expansion constants of the closed-form chi cubic.  They mirror the Todd
 #: coefficients used by the ring route but are kept as an independent
@@ -28,36 +27,30 @@ CHI_CUBIC_T3 = Fraction(1)
 CHI_END_COEFFS = (4, -12, 9)
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Record):
     """Integer Chern classes (c1, c2, c3) of a sheaf of the given rank."""
 
-    rank: int
-    c1: int
-    c2: int
-    c3: int
+    _fields = ("rank", "c1", "c2", "c3")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rank: int, c1: int, c2: int, c3: int) -> None:
         if not (
-            type(self.rank) is type(self.c1) is type(self.c2) is type(self.c3) is int
-            and abs(self.rank) <= MAX_INT and abs(self.c1) <= MAX_INT
-            and abs(self.c2) <= MAX_INT and abs(self.c3) <= MAX_INT
+            type(rank) is type(c1) is type(c2) is type(c3) is int
+            and abs(rank) <= MAX_INT and abs(c1) <= MAX_INT
+            and abs(c2) <= MAX_INT and abs(c3) <= MAX_INT
         ):
-            ints = _integers((self.rank, self.c1, self.c2, self.c3), "rank and Chern classes")
-            for name, value in zip(("rank", "c1", "c2", "c3"), ints):
-                object.__setattr__(self, name, value)
-        if self.rank < 1:
-            raise DomainError(f"rank must be a positive integer, got {self.rank}")
+            rank, c1, c2, c3 = _integers((rank, c1, c2, c3), "rank and Chern classes")
+        if rank < 1:
+            raise DomainError(f"rank must be a positive integer, got {rank}")
+        self._set(rank, c1, c2, c3)
 
 
-@dataclass(frozen=True)
-class ChiPolynomial:
+class ChiPolynomial(Record):
     """chi(F(m)) as an exact cubic in the twist m, coefficients ascending."""
 
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+    _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+    def __init__(self, coeffs: tuple[Fraction, Fraction, Fraction, Fraction]) -> None:
+        self._set(tuple(Fraction(c) for c in coeffs))
 
     def __call__(self, m: int) -> Fraction:
         # Integer Horner over the common denominator: one Fraction, not six.
@@ -199,7 +192,7 @@ def validate_parity(d: ChernData) -> bool:
 
 
 def _jsonable(value):
-    """The one JSON rule: exact rationals as int or "p/q", ChernData as [rank, c1, c2, c3], dataclasses by field."""
+    """The one JSON rule: exact rationals as int or "p/q", ChernData as [rank, c1, c2, c3], other records by field."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, Fraction):
@@ -208,8 +201,8 @@ def _jsonable(value):
         return [value.rank, value.c1, value.c2, value.c3]
     if isinstance(value, ChowClass):
         return [_jsonable(c) for c in value.coeffs]
-    if is_dataclass(value):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Record):
+        return {name: _jsonable(getattr(value, name)) for name in value._fields}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):

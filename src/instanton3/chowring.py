@@ -7,8 +7,9 @@ point enters at any stage; all coefficients are ``fractions.Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import Record
 
 #: Todd class of the tangent bundle of P^3: 1 + 2H + (11/6)H^2 + H^3.
 #: Kept as a module-level constant so the consistency checklist can corrupt
@@ -16,18 +17,13 @@ from fractions import Fraction
 TODD_COEFFS = (Fraction(1), Fraction(2), Fraction(11, 6), Fraction(1))
 
 
-@dataclass(frozen=True)
-class ChowClass:
+class ChowClass(Record):
     """A degree-at-most-3 polynomial in the hyperplane class H."""
 
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
+    _fields = ("a0", "a1", "a2", "a3")
 
-    def __post_init__(self) -> None:
-        for name in ("a0", "a1", "a2", "a3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, a0: Fraction, a1: Fraction, a2: Fraction, a3: Fraction) -> None:
+        self._set(Fraction(a0), Fraction(a1), Fraction(a2), Fraction(a3))
 
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -26,33 +26,29 @@ chain and serves as the independent oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Mapping
 
 from .chern import ChernData, _jsonable, chern_from_character, chi_numerators, dual, validate_parity
 from .chowring import ONE, add, exp_line
-from .errors import MAX_TWIST, DomainError, MissingRows, NonIntegralChi, NotNaturalizable, ParityViolation, _integers, _twist
+from .errors import MAX_TWIST, DomainError, MissingRows, NonIntegralChi, NotNaturalizable, ParityViolation, Record, _integers, _twist
 
 Row = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class MonadType:
+class MonadType(Record):
     """Shape of a three-term monad O(-1)^a -> O^b -> O(1)^c."""
 
-    a: int
-    b: int
-    c: int
+    _fields = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        for name, value in zip("abc", _integers((self.a, self.b, self.c), "monad multiplicities")):
-            object.__setattr__(self, name, value)
-        if min(self.a, self.b, self.c) < 0:
-            raise DomainError(f"monad multiplicities cannot be negative: {(self.a, self.b, self.c)}")
-        if self.b - self.a - self.c < 1:
-            raise DomainError(f"monad cohomology must have positive rank, got {self.b - self.a - self.c}")
+    def __init__(self, a: int, b: int, c: int) -> None:
+        a, b, c = _integers((a, b, c), "monad multiplicities")
+        if min(a, b, c) < 0:
+            raise DomainError(f"monad multiplicities cannot be negative: {(a, b, c)}")
+        if b - a - c < 1:
+            raise DomainError(f"monad cohomology must have positive rank, got {b - a - c}")
+        self._set(a, b, c)
 
 
 def monad_chern(mt: MonadType) -> ChernData:
@@ -61,12 +57,13 @@ def monad_chern(mt: MonadType) -> ChernData:
     return chern_from_character(character, mt.b - mt.a - mt.c)
 
 
-@dataclass(frozen=True, eq=True)
-class CohomTable:
+class CohomTable(Record):
     """Rows (h^0, h^1, h^2, h^3) indexed by the twist."""
 
-    chern: ChernData
-    rows: Mapping[int, Row]
+    _fields = ("chern", "rows")
+
+    def __init__(self, chern: ChernData, rows: Mapping[int, Row]) -> None:
+        self._set(chern, rows)
 
     def __hash__(self) -> int:
         return hash((self.chern, tuple(sorted(self.rows.items()))))

@@ -17,11 +17,9 @@ charge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .binomials import binom3_poly
 from .chern import ChernData, euler_characteristic
-from .errors import MAX_INT, DomainError, ParityViolation, RankUnsupported, _integers, _twist
+from .errors import MAX_INT, DomainError, ParityViolation, RankUnsupported, Record, _integers, _twist
 
 #: Weights of (c3, c2, c1*c2) on the left side of "... = 2g - 2".
 GENUS_RELATION = (1, -4, 1)
@@ -32,19 +30,17 @@ NORMAL_SUMMAND_DEGREE = (2, 5)
 DET_TWIST = 3
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(Record):
     """Degree d >= 1 and genus g of a space curve: the one check of both."""
 
-    d: int
-    g: int
+    _fields = ("d", "g")
 
-    def __post_init__(self) -> None:
-        if not (type(self.d) is type(self.g) is int and abs(self.d) <= MAX_INT and abs(self.g) <= MAX_INT):
-            for name, value in zip("dg", _integers((self.d, self.g), "curve degree and genus")):
-                object.__setattr__(self, name, value)
-        if self.d < 1:
-            raise DomainError(f"curve degree must be positive, got {self.d}")
+    def __init__(self, d: int, g: int) -> None:
+        if not (type(d) is type(g) is int and abs(d) <= MAX_INT and abs(g) <= MAX_INT):
+            d, g = _integers((d, g), "curve degree and genus")
+        if d < 1:
+            raise DomainError(f"curve degree must be positive, got {d}")
+        self._set(d, g)
 
 
 def bundle_to_curve(d3: ChernData) -> CurveInvariants:

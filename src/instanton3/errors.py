@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the input checks that raise one."""
+"""Exception types shared across the toolkit, the input checks that raise one, and the frozen-record base."""
 
 
 class ToolkitError(Exception):
@@ -46,6 +46,34 @@ class ConsistencyError(ToolkitError):
 
 class MissingHypothesis(ToolkitError):
     """A conclusion was requested without asserting a hypothesis it depends on."""
+
+
+class Record:
+    """A frozen value: each subclass names its ``_fields`` and stores them once, with ``_set``, in its ``__init__``."""
+
+    def _set(self, *values) -> None:
+        # object.__setattr__ keeps CPython's compact instance layout; a vars(self) dict slows every field read.
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        # Exact type only: a record never equals a tuple, nor another record type holding the same values.
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
 
 
 #: Largest twist magnitude accepted anywhere: tables past it have rows nobody reads.

@@ -8,11 +8,9 @@ from a rank-2 reflexive sheaf.  Both are mechanized and must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chern import ChernData, chi_endomorphisms, euler_characteristic
 from .cohomtable import natural_table
-from .errors import ConsistencyError, DomainError, MissingHypothesis, RankUnsupported
+from .errors import ConsistencyError, DomainError, MissingHypothesis, RankUnsupported, Record
 
 #: Weights of (c1^2, c2, 1) in the Ext-difference closed form for rank 3.
 EXT_DIFF_COEFFS = (-4, 12, -8)
@@ -25,33 +23,29 @@ CHANG_MODULI_DIM = 19
 REFLEXIVE_EXT_DIM = 3
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(Record):
     """One named quantity in a dimension derivation, with its provenance."""
 
-    quantity: str
-    value: int
-    provenance: str
+    _fields = ("quantity", "value", "provenance")
+
+    def __init__(self, quantity: str, value: int, provenance: str) -> None:
+        self._set(quantity, value, provenance)
 
 
-@dataclass(frozen=True)
-class ModuliReport:
+class ModuliReport(Record):
     """A dimension statement together with the hypotheses it leans on."""
 
-    chern: ChernData
-    chi_end: int
-    ext_diff: int
-    hypotheses: tuple[str, ...]
-    dimension: int | None
-    derivation: tuple[DerivationStep, ...]
+    _fields = ("chern", "chi_end", "ext_diff", "hypotheses", "dimension", "derivation")
 
-    def __post_init__(self) -> None:
-        if "stable" in self.hypotheses and self.ext_diff != 1 - self.chi_end:
+    def __init__(self, chern: ChernData, chi_end: int, ext_diff: int, hypotheses: tuple[str, ...],
+                 dimension: int | None, derivation: tuple[DerivationStep, ...]) -> None:
+        if "stable" in hypotheses and ext_diff != 1 - chi_end:
             raise DomainError("under stability the Ext difference must be 1 - chi(End)")
-        if (self.dimension is not None) != ("ext2_vanishes" in self.hypotheses):
+        if (dimension is not None) != ("ext2_vanishes" in hypotheses):
             raise DomainError("a dimension is reported exactly when Ext^2 vanishing is assumed")
-        if self.dimension is not None and self.dimension != self.ext_diff:
+        if dimension is not None and dimension != ext_diff:
             raise DomainError("the reported dimension must equal the Ext difference")
+        self._set(chern, chi_end, ext_diff, hypotheses, dimension, derivation)
 
 
 def _ext_difference_closed_form(d: ChernData) -> int:

@@ -9,10 +9,9 @@ on which tuples occur for actual sheaves are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import MAX_TWIST, DomainError, OutOfValidityRange, _integers, _twist
+from .errors import MAX_TWIST, DomainError, OutOfValidityRange, Record, _integers, _twist
 
 #: The shift applied to each spectrum entry inside both cohomology formulas:
 #: the P^1 line-bundle degree read off at twist l is k_i + l + TWIST_SHIFT.
@@ -23,17 +22,16 @@ TWIST_SHIFT = 1
 MAX_SEARCH_SPACE = 1_000_000
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """A nondecreasing tuple of integers."""
 
-    ks: tuple[int, ...]
+    _fields = ("ks",)
 
-    def __post_init__(self) -> None:
-        ks = _integers(self.ks, "spectrum entries")
-        object.__setattr__(self, "ks", ks)
+    def __init__(self, ks: tuple[int, ...]) -> None:
+        ks = _integers(ks, "spectrum entries")
         if list(ks) != sorted(ks):
-            raise DomainError(f"spectrum entries must be nondecreasing, got {self.ks}")
+            raise DomainError(f"spectrum entries must be nondecreasing, got {ks}")
+        self._set(ks)
 
 
 def h0_p1(a: int) -> int:

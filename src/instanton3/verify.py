@@ -14,7 +14,6 @@ tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product, starmap
@@ -46,25 +45,23 @@ from .curvelink import (
     rational_normal_twist_degree,
     thooft_threshold,
 )
-from .errors import ParityViolation
+from .errors import ParityViolation, Record
 from .moduli import _ext_difference_closed_form, charge2_dimension_chain, ext_difference, smooth_dimension
 from .spectrum import Spectrum, enumerate_spectra, h1_from_spectrum, h2_from_spectrum, is_instanton_spectrum
 
 
-@dataclass(frozen=True)
-class Claim:
-    id: str
-    statement: str
-    expected: object
-    compute: Callable[[], object]
+class Claim(Record):
+    _fields = ("id", "statement", "expected", "compute")
+
+    def __init__(self, id: str, statement: str, expected: object, compute: Callable[[], object]) -> None:
+        self._set(id, statement, expected, compute)
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    claim: Claim
-    actual: object
-    ok: bool
-    error: str | None = None
+class ClaimResult(Record):
+    _fields = ("claim", "actual", "ok", "error")
+
+    def __init__(self, claim: Claim, actual: object, ok: bool, error: str | None = None) -> None:
+        self._set(claim, actual, ok, error)
 
 
 CHARGE2 = ChernData(3, 0, 2, 0)

@@ -643,14 +643,17 @@ def test_module_invocation_smoke():
     assert proc.stdout == CHARGE2_TABLE + "\n"
 
 
-def test_package_import_leaves_the_sturm_oracle_out():
+def test_package_import_leaves_the_oracle_checklist_and_dataclasses_out():
     # cubics.py is the tests' independent root-counting oracle; no package code path needs it.
     # verify.py is the claim checklist; the CLI loads it only for verify-paper.
     # curvelink.py and binomials.py serve only the checklist, and the namespace does not re-export them.
-    unloaded = ("instanton3.cubics", "instanton3.verify", "instanton3.curvelink", "instanton3.binomials")
+    # The records share errors.Record, so start-up loads neither dataclasses nor the inspect it pulls in.
+    unloaded = (
+        "instanton3.cubics", "instanton3.verify", "instanton3.curvelink", "instanton3.binomials", "dataclasses", "inspect",
+    )
     code = f"import sys, instanton3, instanton3.cli; print([m in sys.modules for m in {unloaded}])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, "[False, False, False, False]\n")
+    assert (proc.returncode, proc.stdout) == (0, f"{[False] * len(unloaded)}\n")
 
 
 QUICK_TOUR_API = {

@@ -1,9 +1,9 @@
 """Spectrum arithmetic: P^1 cohomology sums and the zero-sum enumeration."""
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from time import perf_counter
 
 import pytest
 from hypothesis import given
@@ -200,6 +200,10 @@ def test_enumeration_ceiling_matches_the_binomial(monkeypatch, ceiling):
 
 BOUND_REFUSAL = "bound must be between 1 and 100"
 
+#: Lines of spectrum.py a refusal may execute.  Each refusal runs at most 13
+#: today; a loop over the box would run billions.
+REFUSAL_LINE_BUDGET = 100
+
 
 @pytest.mark.parametrize(
     "n,bound,refusal",
@@ -209,11 +213,28 @@ BOUND_REFUSAL = "bound must be between 1 and 100"
 def test_enumeration_refuses_a_huge_box_at_once(n, bound, refusal):
     # math.comb(3*10^9, 10^9) alone would not finish.  A bound past 100 is
     # refused before any binomial; otherwise the refusal must stop building
-    # the binomial as soon as it passes the ceiling.
-    start = perf_counter()
-    with pytest.raises(DomainError, match=refusal):
-        enumerate_spectra(n, bound)
-    assert perf_counter() - start < 0.1
+    # the binomial as soon as it passes the ceiling.  The work is counted in
+    # executed lines of spectrum.py, not in seconds: a loaded machine cannot
+    # fail the test, and a refusal that loops fails at the budget, not in a hang.
+    lines = 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        if frame.f_code.co_filename != spectrum.__file__:
+            return None
+        if event == "line":
+            lines += 1
+            if lines > REFUSAL_LINE_BUDGET:
+                raise RuntimeError(f"the refusal ran more than {REFUSAL_LINE_BUDGET} lines of spectrum.py")
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(count)
+    try:
+        with pytest.raises(DomainError, match=refusal):
+            enumerate_spectra(n, bound)
+    finally:
+        sys.settrace(previous)
 
 
 def filtered_box(n, bound):

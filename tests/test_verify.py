@@ -3,7 +3,6 @@
 import hashlib
 import importlib
 import json
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -137,7 +136,7 @@ def _is_integral(value) -> bool:
     if isinstance(value, Fraction):
         return value.denominator == 1
     if isinstance(value, (ChowClass, ChernData)):
-        return _is_integral([getattr(value, f.name) for f in fields(value)])
+        return _is_integral([getattr(value, name) for name in value._fields])
     if isinstance(value, (list, tuple)):
         return all(map(_is_integral, value))
     if isinstance(value, dict):

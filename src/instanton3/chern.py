@@ -10,8 +10,8 @@ checklist insist the two routes coincide.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .chowring import ChowClass, degree, exp_line, mul, todd_p3
 from .errors import MAX_DIGITS, MAX_INT, DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported, Record, _integers, _twist
@@ -30,8 +30,6 @@ CHI_END_COEFFS = (4, -12, 9)
 class ChernData(Record):
     """Integer Chern classes (c1, c2, c3) of a sheaf of the given rank."""
 
-    _fields = ("rank", "c1", "c2", "c3")
-
     def __init__(self, rank: int, c1: int, c2: int, c3: int) -> None:
         if not (
             type(rank) is type(c1) is type(c2) is type(c3) is int
@@ -47,10 +45,12 @@ class ChernData(Record):
 class ChiPolynomial(Record):
     """chi(F(m)) as an exact cubic in the twist m, coefficients ascending."""
 
-    _fields = ("coeffs",)
-
     def __init__(self, coeffs: tuple[Fraction, Fraction, Fraction, Fraction]) -> None:
-        self._set(tuple(Fraction(c) for c in coeffs))
+        try:
+            a0, a1, a2, a3 = coeffs
+            self._set((Fraction(a0), Fraction(a1), Fraction(a2), Fraction(a3)))
+        except (TypeError, ValueError, ArithmeticError):  # also a non-iterable, or not four coefficients
+            raise DomainError("a chi polynomial needs exactly four rational coefficients") from None
 
     def __call__(self, m: int) -> Fraction:
         # Integer Horner over the common denominator: one Fraction, not six.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import Record
+from .errors import DomainError, Record
 
 #: Todd class of the tangent bundle of P^3: 1 + 2H + (11/6)H^2 + H^3.
 #: Kept as a module-level constant so the consistency checklist can corrupt
@@ -20,10 +20,11 @@ TODD_COEFFS = (Fraction(1), Fraction(2), Fraction(11, 6), Fraction(1))
 class ChowClass(Record):
     """A degree-at-most-3 polynomial in the hyperplane class H."""
 
-    _fields = ("a0", "a1", "a2", "a3")
-
     def __init__(self, a0: Fraction, a1: Fraction, a2: Fraction, a3: Fraction) -> None:
-        self._set(Fraction(a0), Fraction(a1), Fraction(a2), Fraction(a3))
+        try:
+            self._set(Fraction(a0), Fraction(a1), Fraction(a2), Fraction(a3))
+        except (TypeError, ValueError, ArithmeticError):  # "x", None, inf, nan, "1/0"; never print the value
+            raise DomainError("Chow class coefficients must be rational numbers") from None
 
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .chern import ChernData, _jsonable, euler_characteristic
 from .cohomtable import natural_table
@@ -30,6 +29,8 @@ EXIT_MODEL = 3
 
 
 def _print_json(payload: dict) -> None:
+    import json  # only JSON output needs it, so text runs start without it
+
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -147,17 +148,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:  # argparse exits with an int: 0 after --help, 2 on a usage error
+        return exc.code
     handlers = {"chi": cmd_chi, "table": cmd_table, "spectra": cmd_spectra, "verify-paper": cmd_verify}
     try:
         return handlers[args.command](args)
-    except NotNaturalizable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_MODEL if isinstance(exc, NotNaturalizable) else EXIT_USAGE
 
 
 def entry() -> None:

@@ -26,9 +26,9 @@ chain and serves as the independent oracle in the tests.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import isqrt
-from typing import Mapping
 
 from .chern import ChernData, _jsonable, chern_from_character, chi_numerators, dual, validate_parity
 from .chowring import ONE, add, exp_line
@@ -39,8 +39,6 @@ Row = tuple[int, int, int, int]
 
 class MonadType(Record):
     """Shape of a three-term monad O(-1)^a -> O^b -> O(1)^c."""
-
-    _fields = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int) -> None:
         a, b, c = _integers((a, b, c), "monad multiplicities")
@@ -59,8 +57,6 @@ def monad_chern(mt: MonadType) -> ChernData:
 
 class CohomTable(Record):
     """Rows (h^0, h^1, h^2, h^3) indexed by the twist."""
-
-    _fields = ("chern", "rows")
 
     def __init__(self, chern: ChernData, rows: Mapping[int, Row]) -> None:
         self._set(chern, rows)

@@ -33,8 +33,6 @@ DET_TWIST = 3
 class CurveInvariants(Record):
     """Degree d >= 1 and genus g of a space curve: the one check of both."""
 
-    _fields = ("d", "g")
-
     def __init__(self, d: int, g: int) -> None:
         if not (type(d) is type(g) is int and abs(d) <= MAX_INT and abs(g) <= MAX_INT):
             d, g = _integers((d, g), "curve degree and genus")

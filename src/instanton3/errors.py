@@ -49,7 +49,11 @@ class MissingHypothesis(ToolkitError):
 
 
 class Record:
-    """A frozen value: each subclass names its ``_fields`` and stores them once, with ``_set``, in its ``__init__``."""
+    """A frozen value whose fields are its ``__init__`` parameters, in order, stored once by ``_set``."""
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__  # the code object, not inspect.signature: the CLI path must not load inspect
+        cls._fields = code.co_varnames[1:code.co_argcount]
 
     def _set(self, *values) -> None:
         # object.__setattr__ keeps CPython's compact instance layout; a vars(self) dict slows every field read.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .chern import ChernData, chi_endomorphisms, euler_characteristic
 from .cohomtable import natural_table
-from .errors import ConsistencyError, DomainError, MissingHypothesis, RankUnsupported, Record
+from .errors import ConsistencyError, DomainError, MissingHypothesis, RankUnsupported, Record, _integers
 
 #: Weights of (c1^2, c2, 1) in the Ext-difference closed form for rank 3.
 EXT_DIFF_COEFFS = (-4, 12, -8)
@@ -26,8 +26,6 @@ REFLEXIVE_EXT_DIM = 3
 class DerivationStep(Record):
     """One named quantity in a dimension derivation, with its provenance."""
 
-    _fields = ("quantity", "value", "provenance")
-
     def __init__(self, quantity: str, value: int, provenance: str) -> None:
         self._set(quantity, value, provenance)
 
@@ -35,10 +33,9 @@ class DerivationStep(Record):
 class ModuliReport(Record):
     """A dimension statement together with the hypotheses it leans on."""
 
-    _fields = ("chern", "chi_end", "ext_diff", "hypotheses", "dimension", "derivation")
-
     def __init__(self, chern: ChernData, chi_end: int, ext_diff: int, hypotheses: tuple[str, ...],
                  dimension: int | None, derivation: tuple[DerivationStep, ...]) -> None:
+        chi_end, ext_diff = _integers((chi_end, ext_diff), "chi(End F) and the Ext difference")
         if "stable" in hypotheses and ext_diff != 1 - chi_end:
             raise DomainError("under stability the Ext difference must be 1 - chi(End)")
         if (dimension is not None) != ("ext2_vanishes" in hypotheses):

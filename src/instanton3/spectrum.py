@@ -9,7 +9,7 @@ on which tuples occur for actual sheaves are out of scope.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import MAX_TWIST, DomainError, OutOfValidityRange, Record, _integers, _twist
 
@@ -24,8 +24,6 @@ MAX_SEARCH_SPACE = 1_000_000
 
 class Spectrum(Record):
     """A nondecreasing tuple of integers."""
-
-    _fields = ("ks",)
 
     def __init__(self, ks: tuple[int, ...]) -> None:
         ks = _integers(ks, "spectrum entries")

@@ -14,10 +14,10 @@ tautology.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 from itertools import product, starmap
-from typing import Callable
 
 from .chern import (
     ChernData,
@@ -51,15 +51,11 @@ from .spectrum import Spectrum, enumerate_spectra, h1_from_spectrum, h2_from_spe
 
 
 class Claim(Record):
-    _fields = ("id", "statement", "expected", "compute")
-
     def __init__(self, id: str, statement: str, expected: object, compute: Callable[[], object]) -> None:
         self._set(id, statement, expected, compute)
 
 
 class ClaimResult(Record):
-    _fields = ("claim", "actual", "ok", "error")
-
     def __init__(self, claim: Claim, actual: object, ok: bool, error: str | None = None) -> None:
         self._set(claim, actual, ok, error)
 

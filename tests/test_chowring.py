@@ -10,6 +10,7 @@ from instanton3.chern import ChernData, ChiPolynomial
 from instanton3.chowring import ONE, ChowClass, add, degree, exp_line, mul, todd_p3
 from instanton3.cohomtable import CohomTable, MonadType
 from instanton3.curvelink import CurveInvariants
+from instanton3.errors import DomainError, Record
 from instanton3.moduli import DerivationStep, ModuliReport
 from instanton3.spectrum import Spectrum
 from instanton3.verify import Claim, ClaimResult
@@ -167,3 +168,41 @@ def test_record_is_hashable_and_frozen(make, names, shown):
         with pytest.raises(AttributeError):
             delattr(x, name)
     assert x == copy
+
+
+def test_record_fields_are_the_init_parameters_of_exactly_these_eleven_types():
+    # Record.__init_subclass__ reads each type's fields off its __init__, so a
+    # new record type, or a renamed or reordered parameter, must show up here.
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    package = {cls: cls._fields for cls in subclasses(Record) if cls.__module__.startswith("instanton3.")}
+    assert package == {type(make()): names for make, names, _ in RECORDS}
+
+
+def test_records_take_keywords_and_claim_result_error_defaults_to_none():
+    assert CurveInvariants(g=0, d=5) == CurveInvariants(5, 0)
+    assert ChowClass(a3=1, a0=3, a2=0, a1=0) == ChowClass(3, 0, 0, 1)
+    assert ClaimResult(Claim("c", "two", 2, int), 2, True).error is None
+
+
+REFUSED_BY_FRACTION = ["x", None, float("inf"), float("nan"), "1/0", 1j, "9" * 5000 + "x"]
+
+
+@pytest.mark.parametrize("bad", REFUSED_BY_FRACTION, ids=["word", "none", "inf", "nan", "zero-den", "complex", "long-word"])
+def test_chow_class_and_chi_polynomial_refuse_what_fraction_refuses(bad):
+    # A DomainError that never prints the value, not Fraction's ValueError,
+    # TypeError or OverflowError escaping the ToolkitError root.
+    with pytest.raises(DomainError, match="^Chow class coefficients must be rational numbers$"):
+        ChowClass(0, 0, bad, 0)
+    with pytest.raises(DomainError, match="^a chi polynomial needs exactly four rational coefficients$"):
+        ChiPolynomial((1, 2, 3, bad))
+
+
+@pytest.mark.parametrize("coeffs", [(1, 2), (), (1, 2, 3, 4, 5), 5, None], ids=["two", "none-given", "five", "int", "None"])
+def test_chi_polynomial_needs_exactly_four_coefficients(coeffs):
+    # Two coefficients used to build, then fail inside __call__ on unpacking.
+    with pytest.raises(DomainError, match="^a chi polynomial needs exactly four rational coefficients$"):
+        ChiPolynomial(coeffs)

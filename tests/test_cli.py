@@ -3,22 +3,27 @@
 import ast
 import hashlib
 import inspect
+import io
 import json
+import re
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_verify import REPORT_DIGESTS
 
 import instanton3
 from instanton3 import chern, cli, errors
-from instanton3.chern import ChernData, chern_from_character, chi_values, euler_characteristic, twist
+from instanton3.chern import ChernData, ChiPolynomial, chern_from_character, chi_values, euler_characteristic, twist
 from instanton3.chowring import ONE, ChowClass, mul
-from instanton3.cohomtable import MonadType, monad_chern, natural_table, serre_symmetry_check
+from instanton3.cohomtable import CohomTable, MonadType, monad_chern, natural_table, serre_symmetry_check
 from instanton3.cubics import CubicSignAnalysis
 from instanton3.curvelink import (
     CurveInvariants,
@@ -31,8 +36,9 @@ from instanton3.curvelink import (
     thooft_threshold,
 )
 from instanton3.errors import DomainError, NonIntegralChernClass, ToolkitError
-from instanton3.moduli import ModuliReport
+from instanton3.moduli import DerivationStep, ModuliReport
 from instanton3.spectrum import Spectrum, enumerate_spectra, h1_from_spectrum, h2_from_spectrum, is_instanton_spectrum
+from instanton3.verify import Claim, ClaimResult
 
 CHARGE2_TABLE = "\n".join(
     [
@@ -648,8 +654,10 @@ def test_package_import_leaves_the_oracle_checklist_and_dataclasses_out():
     # verify.py is the claim checklist; the CLI loads it only for verify-paper.
     # curvelink.py and binomials.py serve only the checklist, and the namespace does not re-export them.
     # The records share errors.Record, so start-up loads neither dataclasses nor the inspect it pulls in.
+    # cli.py imports json only when it prints JSON.
     unloaded = (
         "instanton3.cubics", "instanton3.verify", "instanton3.curvelink", "instanton3.binomials", "dataclasses", "inspect",
+        "json",
     )
     code = f"import sys, instanton3, instanton3.cli; print([m in sys.modules for m in {unloaded}])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -710,3 +718,89 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+# Generated inputs: the same scalars on the command line (as text) and in the
+# record constructors.  Integers at every scale up to one digit past the cap,
+# floats, words and None.
+INTEGERS = st.one_of(
+    st.sampled_from([0, 1, -1, 100, -100, 101, -101]),
+    st.builds(lambda k, sign: sign * 10 ** k, st.integers(0, errors.MAX_DIGITS), st.sampled_from([1, -1])),
+)
+SCALARS = st.one_of(
+    INTEGERS,
+    st.sampled_from([0.5, -1.5, 2.0, float("inf"), float("nan")]),
+    st.sampled_from(["x", "", "1/0", None]),
+)
+POSITIONALS = {"chi": 4, "table": 6, "spectra": 1, "verify-paper": 0, "frobnicate": 0}
+OPTIONS = {"chi": "--m", "spectra": "--bound"}
+ARGPARSE_ERROR = re.compile(r"instanton3( [a-z-]+)?: error: ")
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand (or an unknown one), its positionals with at times one missing or extra, its option, a format."""
+    command = draw(st.sampled_from(sorted(POSITIONALS)))
+    values = draw(st.sampled_from([INTEGERS, INTEGERS, SCALARS]))  # else few lines would get past argparse
+    count = max(0, POSITIONALS[command] + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    argv = [command, *[str(draw(values)) for _ in range(count)]]
+    if command in OPTIONS and draw(st.booleans()):
+        argv += [OPTIONS[command], str(draw(values))]
+    return argv + draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+@example(["chi", "3", "0", "2", "0", "--m", "-100", "--format", "json"])
+@example(["table", "3", "0", "2", "0", "-100", "100", "--format", "json"])
+@example(["table", "1", "0", "0", "0", "-1", "1"])
+@example(["table", "3", "0", "-100", "0", "-1", "1"])
+@example(["spectra", "1", "--bound", "100", "--format", "json"])
+@example(["verify-paper", "--format", "json"])
+def test_generated_command_lines_keep_the_exit_code_contract(argv):
+    # In process: any exception but argparse's SystemExit would escape main and fail here.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3) or (code == 1 and argv[0] == "verify-paper")
+    if code == 0:
+        assert err == ""
+        if argv[-1] == "json":
+            json.loads(out)
+    elif code != 1:
+        lines = err.splitlines()
+        assert out == ""
+        assert (len(lines) == 1 and lines[0].startswith("error: ")) or (
+            lines[0].startswith("usage: ") and ARGPARSE_ERROR.match(lines[-1])
+        )
+
+
+HYPOTHESES = [(), ("stable",), ("ext2_vanishes",), ("stable", "ext2_vanishes")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SCALARS, min_size=4, max_size=4), st.sampled_from(HYPOTHESES))
+def test_record_constructors_return_a_record_or_raise_a_toolkit_error(values, hypotheses):
+    # Every scalar parameter of the eleven record types takes a generated value;
+    # the others (a ChernData, a hypothesis tuple, a derivation) are well formed.
+    a, b, c, d = values
+    claim = Claim("c", "two", 2, int)
+    calls = {
+        ChernData: lambda: ChernData(a, b, c, d),
+        ChiPolynomial: lambda: ChiPolynomial(values),
+        ChowClass: lambda: ChowClass(a, b, c, d),
+        MonadType: lambda: MonadType(a, b, c),
+        CohomTable: lambda: CohomTable(_CHARGE2, {a: (b, c, d, a)}),
+        Spectrum: lambda: Spectrum(values),
+        DerivationStep: lambda: DerivationStep(a, b, c),
+        ModuliReport: lambda: ModuliReport(_CHARGE2, a, b, hypotheses, c, (DerivationStep("chi(End F)", a, "RR"),)),
+        CurveInvariants: lambda: CurveInvariants(a, b),
+        Claim: lambda: Claim(a, b, c, d),
+        ClaimResult: lambda: ClaimResult(claim, a, b, c),
+    }
+    for record_type, call in calls.items():
+        try:
+            assert type(call()) is record_type
+        except ToolkitError:
+            pass

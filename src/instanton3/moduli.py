@@ -36,6 +36,8 @@ class ModuliReport(Record):
     def __init__(self, chern: ChernData, chi_end: int, ext_diff: int, hypotheses: tuple[str, ...],
                  dimension: int | None, derivation: tuple[DerivationStep, ...]) -> None:
         chi_end, ext_diff = _integers((chi_end, ext_diff), "chi(End F) and the Ext difference")
+        if dimension is not None:
+            (dimension,) = _integers((dimension,), "the reported dimension")
         if "stable" in hypotheses and ext_diff != 1 - chi_end:
             raise DomainError("under stability the Ext difference must be 1 - chi(End)")
         if (dimension is not None) != ("ext2_vanishes" in hypotheses):

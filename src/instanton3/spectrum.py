@@ -9,9 +9,11 @@ on which tuples occur for actual sheaves are out of scope.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
+from operator import le
 
-from .errors import MAX_TWIST, DomainError, OutOfValidityRange, Record, _integers, _twist
+from .errors import MAX_INT, MAX_TWIST, DomainError, OutOfValidityRange, Record, _integers, _twist
 
 #: The shift applied to each spectrum entry inside both cohomology formulas:
 #: the P^1 line-bundle degree read off at twist l is k_i + l + TWIST_SHIFT.
@@ -26,9 +28,11 @@ class Spectrum(Record):
     """A nondecreasing tuple of integers."""
 
     def __init__(self, ks: tuple[int, ...]) -> None:
-        ks = _integers(ks, "spectrum entries")
-        if list(ks) != sorted(ks):
-            raise DomainError(f"spectrum entries must be nondecreasing, got {ks}")
+        if not (type(ks) is tuple and set(map(type, ks)) == {int} and all(map(le, ks, ks[1:]))
+                and -MAX_INT <= ks[0] and ks[-1] <= MAX_INT):
+            ks = _integers(ks, "spectrum entries")
+            if list(ks) != sorted(ks):
+                raise DomainError(f"spectrum entries must be nondecreasing, got {ks}")
         self._set(ks)
 
 
@@ -44,8 +48,10 @@ def h1_p1(a: int) -> int:
 
 # Both predictions assume a locally free sheaf with generic splitting type
 # (0, ..., 0).  They sum h0_p1 and h1_p1 at k + l + TWIST_SHIFT over the
-# entries, written out: with a = l + TWIST_SHIFT + 1, h0_p1 is k + a where
-# positive and h1_p1 is -a - k where positive.
+# entries.  With a = l + TWIST_SHIFT + 1, h0_p1 is k + a for k > -a and h1_p1
+# is -a - k for k < -a, and 0 otherwise.  A Spectrum is nondecreasing, so the
+# entries past -a are exactly ks[bisect_right(ks, -a):] and those below it
+# exactly ks[:bisect_left(ks, -a)]: each sum is one slice sum plus a*count.
 
 
 def h1_from_spectrum(sp: Spectrum, l: int) -> int:
@@ -54,7 +60,8 @@ def h1_from_spectrum(sp: Spectrum, l: int) -> int:
     if l > -1:
         raise OutOfValidityRange(f"h^1 formula covers l <= -1, got l = {l}")
     a = l + TWIST_SHIFT + 1
-    return sum(k + a for k in sp.ks if k > -a)
+    i = bisect_right(sp.ks, -a)
+    return sum(sp.ks[i:]) + a * (len(sp.ks) - i)
 
 
 def h2_from_spectrum(sp: Spectrum, l: int) -> int:
@@ -63,7 +70,8 @@ def h2_from_spectrum(sp: Spectrum, l: int) -> int:
     if l < -3:
         raise OutOfValidityRange(f"h^2 formula covers l >= -3, got l = {l}")
     a = l + TWIST_SHIFT + 1
-    return sum(-a - k for k in sp.ks if k < -a)
+    i = bisect_left(sp.ks, -a)
+    return -sum(sp.ks[:i]) - a * i
 
 
 def is_instanton_spectrum(sp: Spectrum) -> bool:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from instanton3 import moduli
 from instanton3.chern import ChernData, _jsonable, chi_endomorphisms
-from instanton3.errors import ConsistencyError, MissingHypothesis, RankUnsupported
+from instanton3.errors import ConsistencyError, DomainError, MissingHypothesis, RankUnsupported
 from instanton3.moduli import (
     DerivationStep,
     ModuliReport,
@@ -84,6 +85,20 @@ def test_report_invariants_are_enforced():
             CHARGE2, chi_end=-15, ext_diff=16,
             hypotheses=("stable", "ext2_vanishes"), dimension=15, derivation=(),
         )
+
+
+@pytest.mark.parametrize("dimension", [16.0, Fraction(16)])
+def test_report_stores_an_integer_valued_dimension_as_an_int(dimension):
+    report = ModuliReport(CHARGE2, -15, 16, ("stable", "ext2_vanishes"), dimension, ())
+    assert type(report.dimension) is int
+    assert report.dimension == 16
+    assert _jsonable(report)["dimension"] == 16
+
+
+@pytest.mark.parametrize("dimension", ["x", [16], 16.5])
+def test_report_refuses_a_dimension_that_is_not_an_integer(dimension):
+    with pytest.raises(DomainError, match="the reported dimension must be integers"):
+        ModuliReport(CHARGE2, -15, 16, ("stable", "ext2_vanishes"), dimension, ())
 
 
 def test_charge2_chain_reaches_sixteen():

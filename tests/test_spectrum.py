@@ -6,11 +6,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from instanton3 import spectrum
-from instanton3.errors import DomainError, OutOfValidityRange
+from instanton3.errors import MAX_INT, DomainError, OutOfValidityRange, _integers
 from instanton3.spectrum import (
     MAX_SEARCH_SPACE,
     Spectrum,
@@ -63,6 +63,71 @@ def test_spectrum_accepts_integer_valued_entries():
     assert ks == (-1, 1)
     assert all(type(k) is int for k in ks)
 
+
+
+class Int(int):
+    """An int subclass: the constructor's fast path takes exact ints only."""
+
+
+def checked_entries(ks):
+    """The checked constructor body, the oracle for every input: the integer rule, then the order check."""
+    ks = _integers(ks, "spectrum entries")
+    if list(ks) != sorted(ks):
+        raise DomainError(f"spectrum entries must be nondecreasing, got {ks}")
+    return ks
+
+
+small = st.integers(min_value=-5, max_value=5)
+ints = st.one_of(small, st.sampled_from([-MAX_INT - 1, -MAX_INT, MAX_INT, MAX_INT + 1]))
+entry = st.one_of(
+    ints,
+    st.booleans(),
+    small.map(Int),
+    small.map(float),
+    small.map(Fraction),
+    st.sampled_from([0.5, Fraction(1, 2)]),
+)
+constructor_inputs = st.one_of(
+    st.lists(ints, max_size=6).map(sorted).map(tuple),  # the fast path's shape, and the cap on both ends
+    st.lists(ints, max_size=6).map(tuple),
+    st.lists(entry, max_size=6).map(tuple),
+    st.lists(entry, max_size=6),
+    st.lists(entry, max_size=6).map(sorted),
+)
+
+
+@example((-MAX_INT - 1, 0))
+@example((0, MAX_INT + 1))
+@example((-MAX_INT, MAX_INT))
+@example(())
+@given(constructor_inputs)
+def test_constructor_agrees_with_the_checked_path(ks):
+    try:
+        expected = checked_entries(ks)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as excinfo:
+            Spectrum(ks)
+        assert str(excinfo.value) == str(exc)
+    else:
+        found = Spectrum(ks).ks
+        assert type(found) is tuple
+        assert found == expected
+        assert all(type(k) is int for k in found)
+
+
+def test_enumeration_checks_only_its_two_arguments(monkeypatch):
+    # The walk builds nondecreasing exact ints, so each Spectrum takes the
+    # constructor's fast path: the integer rule runs for n and bound alone.
+    calls = 0
+
+    def counted(values, what):
+        nonlocal calls
+        calls += 1
+        return _integers(values, what)
+
+    monkeypatch.setattr(spectrum, "_integers", counted)
+    assert len(enumerate_spectra(5, 9)) == 967
+    assert calls == 2
 
 def test_split_pair_predictions():
     sp = Spectrum((-1, 1))

@@ -154,10 +154,7 @@ def chi_polynomial(d: ChernData) -> ChiPolynomial:
         m^1: ch2 + T1*ch1 + T2*rank
         m^0: ch3 + T1*ch2 + T2*ch1 + T3*rank
     """
-    r = Fraction(d.rank)
-    x1 = Fraction(d.c1)
-    x2 = Fraction(d.c1 * d.c1 - 2 * d.c2, 2)
-    x3 = Fraction(d.c1 ** 3 - 3 * d.c1 * d.c2 + 3 * d.c3, 6)
+    r, x1, x2, x3 = chern_character(d).coeffs
     return ChiPolynomial(
         (
             x3 + CHI_CUBIC_T1 * x2 + CHI_CUBIC_T2 * x1 + CHI_CUBIC_T3 * r,
@@ -171,7 +168,7 @@ def chi_polynomial(d: ChernData) -> ChiPolynomial:
 def chi_endomorphisms(d: ChernData) -> int:
     """chi(F tensor F-dual) for rank 3, through the Chow ring."""
     if d.rank != 3:
-        raise RankUnsupported(f"endomorphism chi closed form needs rank 3, got {d.rank}")
+        raise RankUnsupported(f"endomorphism chi through the Chow ring needs rank 3, got {d.rank}")
     pairing = mul(mul(chern_character(d), chern_character(dual(d))), todd_p3())
     return _as_int(degree(pairing), NonIntegralChi, "chi of the endomorphism bundle")
 

@@ -36,22 +36,12 @@ class Spectrum(Record):
         self._set(ks)
 
 
-def h0_p1(a: int) -> int:
-    """h^0 of the degree-a line bundle on P^1."""
-    return max(0, a + 1)
-
-
-def h1_p1(a: int) -> int:
-    """h^1 of the degree-a line bundle on P^1."""
-    return max(0, -a - 1)
-
-
 # Both predictions assume a locally free sheaf with generic splitting type
-# (0, ..., 0).  They sum h0_p1 and h1_p1 at k + l + TWIST_SHIFT over the
-# entries.  With a = l + TWIST_SHIFT + 1, h0_p1 is k + a for k > -a and h1_p1
-# is -a - k for k < -a, and 0 otherwise.  A Spectrum is nondecreasing, so the
-# entries past -a are exactly ks[bisect_right(ks, -a):] and those below it
-# exactly ks[:bisect_left(ks, -a)]: each sum is one slice sum plus a*count.
+# (0, ..., 0).  h^1(F(l)) sums h^0, and h^2(F(l)) h^1, of O_P1(k + l + TWIST_SHIFT)
+# over the entries k.  With a = l + TWIST_SHIFT + 1, that h^0 is k + a for
+# k > -a, that h^1 is -a - k for k < -a, and each is 0 otherwise.  A Spectrum is
+# nondecreasing, so the entries past -a are ks[bisect_right(ks, -a):] and those
+# below it ks[:bisect_left(ks, -a)]: each sum is one slice sum plus a*count.
 
 
 def h1_from_spectrum(sp: Spectrum, l: int) -> int:

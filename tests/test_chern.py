@@ -343,9 +343,9 @@ def test_chi_endomorphisms_ignores_c3(c1, c2, c3a, c3b):
 
 
 def test_chi_endomorphisms_rejects_other_ranks():
-    with pytest.raises(RankUnsupported):
+    with pytest.raises(RankUnsupported, match="^endomorphism chi through the Chow ring needs rank 3, got 2$"):
         chi_endomorphisms(ChernData(2, 0, 2, 0))
-    with pytest.raises(RankUnsupported):
+    with pytest.raises(RankUnsupported, match="^endomorphism chi closed form needs rank 3, got 4$"):
         chi_endomorphisms_closed_form(ChernData(4, 0, 2, 0))
 
 

@@ -288,6 +288,14 @@ def test_big_charge_table_is_pinned():
 @example((ChernData(3, -4, 9, -16), -100, 100))  # critical point c2 = 1 exactly
 @example((ChernData(3, -2, 13, 38), -100, 100))  # roots r2 and r3 both in (1, 2)
 @example((ChernData(3, 0, 1, 0), -100, 100))  # r1 in (-4, c1 = -3), r3 in (c2 = -1, 0)
+# Two roots of chi share a unit interval beside a critical point, so the
+# brackets have no slack: each +-1 edit of a bracket numerator gives a wrong
+# row on one of these four (lo at twist -9, hi at twist 5).  Random classes
+# almost never land here.
+@example((ChernData(3, 1, 73, -657), -100, 100))  # lo + 1
+@example((ChernData(3, 1, 60, -488), -100, 100))  # lo - 1
+@example((ChernData(3, -1, 60, 488), -100, 100))  # hi + 1
+@example((ChernData(3, -1, 73, 657), -100, 100))  # hi - 1
 def test_kernel_matches_oracles(window):
     assert kernel_outcome(*window) == reference_outcome(*window)
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from instanton3.cubics import CubicSignAnalysis
+from instanton3.errors import DomainError
 
 nonzero_ints = st.integers(min_value=-9, max_value=9).filter(lambda n: n != 0)
 coefficient_ints = st.integers(min_value=-9, max_value=9)
@@ -74,6 +75,8 @@ def test_rejects_non_cubics():
         CubicSignAnalysis((1, 2, 3, 0))
     with pytest.raises(ValueError):
         CubicSignAnalysis((0, 0, 0, 0))
+    with pytest.raises(DomainError, match="^need a cubic, got degree 4$"):
+        CubicSignAnalysis([1, 0, 0, 0, 1])
 
 
 # Pinned root structures, one per branch of the decomposition.

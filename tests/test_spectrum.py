@@ -15,12 +15,19 @@ from instanton3.spectrum import (
     MAX_SEARCH_SPACE,
     Spectrum,
     enumerate_spectra,
-    h0_p1,
     h1_from_spectrum,
-    h1_p1,
     h2_from_spectrum,
     is_instanton_spectrum,
 )
+
+
+def h0_p1(a):  # h^0 of O_P1(a): the oracle for h1_from_spectrum's sum
+    return max(0, a + 1)
+
+
+def h1_p1(a):  # h^1 of O_P1(a): the oracle for h2_from_spectrum's sum
+    return max(0, -a - 1)
+
 
 entries = st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=8)
 spectra = entries.map(lambda ks: Spectrum(tuple(sorted(ks))))

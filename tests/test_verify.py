@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -319,6 +320,23 @@ def test_chi_sweeps_do_one_ring_product_per_class(monkeypatch, claim_id, product
     (claim,) = [c for c in all_claims() if c.id == claim_id]
     assert run_claim(claim).ok
     assert len(calls) == products
+
+
+def test_the_checklist_does_94_ring_products(monkeypatch):
+    # Every package module that binds the one ring product counts it, so a
+    # call through chowring.mul or a new import is seen as well.
+    calls = []
+
+    def counting_mul(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    binders = [m for name, m in sys.modules.items() if name.startswith("instanton3.") and getattr(m, "mul", None) is mul]
+    assert {m.__name__ for m in binders} >= {"instanton3.chowring", "instanton3.chern", "instanton3.verify"}
+    for module in binders:
+        monkeypatch.setattr(module, "mul", counting_mul)
+    assert all(r.ok for r in run_all())
+    assert len(calls) == 94
 
 
 def test_parity_claim_fails_when_the_genus_relation_ignores_parity(monkeypatch):

@@ -13,7 +13,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .chowring import ChowClass, degree, exp_line, mul, todd_p3
+from .chowring import ChowClass, exp_line, mul, todd_p3
 from .errors import MAX_DIGITS, MAX_INT, DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported, Record, _integers, _twist
 
 #: Expansion constants of the closed-form chi cubic.  They mirror the Todd
@@ -53,6 +53,7 @@ class ChiPolynomial(Record):
             raise DomainError("a chi polynomial needs exactly four rational coefficients") from None
 
     def __call__(self, m: int) -> Fraction:
+        m = _twist(m, "m")
         # Integer Horner over the common denominator: one Fraction, not six.
         den = math.lcm(*(c.denominator for c in self.coeffs))
         n0, n1, n2, n3 = (c.numerator * (den // c.denominator) for c in self.coeffs)
@@ -100,8 +101,8 @@ def dual(d: ChernData) -> ChernData:
 def twist(d: ChernData, k: int) -> ChernData:
     """Chern data of F(k), computed through the character.
 
-    Twisting always lands back on integer classes, so the inversion cannot
-    raise for integer input.  Needs |k| <= MAX_TWIST.
+    Twisting always lands back on integer classes.  Needs |k| <= MAX_TWIST;
+    DomainError when a twisted class passes the MAX_DIGITS cap.
     """
     return chern_from_character(mul(chern_character(d), exp_line(_twist(k, "k"))), d.rank)
 
@@ -170,7 +171,7 @@ def chi_endomorphisms(d: ChernData) -> int:
     if d.rank != 3:
         raise RankUnsupported(f"endomorphism chi through the Chow ring needs rank 3, got {d.rank}")
     pairing = mul(mul(chern_character(d), chern_character(dual(d))), todd_p3())
-    return _as_int(degree(pairing), NonIntegralChi, "chi of the endomorphism bundle")
+    return _as_int(pairing.a3, NonIntegralChi, "chi of the endomorphism bundle")
 
 
 def chi_endomorphisms_closed_form(d: ChernData) -> int:

@@ -31,16 +31,11 @@ class ChowClass(Record):
         return (self.a0, self.a1, self.a2, self.a3)
 
     def scale(self, k) -> "ChowClass":
-        k = Fraction(k)
+        try:
+            k = Fraction(k)
+        except (TypeError, ValueError, ArithmeticError):  # never print the value
+            raise DomainError("a scale factor must be a rational number") from None
         return ChowClass(k * self.a0, k * self.a1, k * self.a2, k * self.a3)
-
-
-ONE = ChowClass(1, 0, 0, 0)
-
-
-def add(x: ChowClass, y: ChowClass) -> ChowClass:
-    """Componentwise sum."""
-    return ChowClass(x.a0 + y.a0, x.a1 + y.a1, x.a2 + y.a2, x.a3 + y.a3)
 
 
 def mul(x: ChowClass, y: ChowClass) -> ChowClass:
@@ -61,8 +56,3 @@ def exp_line(k: int) -> ChowClass:
 def todd_p3() -> ChowClass:
     """Todd class of P^3."""
     return ChowClass(*TODD_COEFFS)
-
-
-def degree(x: ChowClass) -> Fraction:
-    """The H^3 coefficient: the integral of the class over P^3."""
-    return x.a3

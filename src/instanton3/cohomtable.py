@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .chern import ChernData, _jsonable, chern_from_character, chi_numerators, dual, validate_parity
-from .chowring import ONE, add, exp_line
+from .chowring import ChowClass, exp_line
 from .errors import MAX_TWIST, DomainError, MissingRows, NonIntegralChi, NotNaturalizable, ParityViolation, Record, _integers, _twist
 
 Row = tuple[int, int, int, int]
@@ -51,7 +51,8 @@ class MonadType(Record):
 
 def monad_chern(mt: MonadType) -> ChernData:
     """Chern data of the monad cohomology: ch = b - a*exp(-H) - c*exp(H)."""
-    character = add(add(ONE.scale(mt.b), exp_line(-1).scale(-mt.a)), exp_line(1).scale(-mt.c))
+    minus, plus = exp_line(-1).scale(mt.a), exp_line(1).scale(mt.c)
+    character = ChowClass(*(b - x - y for b, x, y in zip((mt.b, 0, 0, 0), minus.coeffs, plus.coeffs)))
     return chern_from_character(character, mt.b - mt.a - mt.c)
 
 
@@ -152,8 +153,4 @@ def serre_symmetry_check(d: ChernData, t_min: int, t_max: int) -> bool:
             raise DomainError(f"{name} = {t} is out of range; Serre symmetry needs {name} <= {MAX_TWIST - 4}")
     left = natural_table(d, t_min, t_max)
     right = natural_table(dual(d), -t_max - 4, -t_min - 4)
-    for t in range(t_min, t_max + 1):
-        mirrored = right.rows[-t - 4]
-        if any(left.rows[t][i] != mirrored[3 - i] for i in range(4)):
-            return False
-    return True
+    return all(left.rows[t] == right.rows[-t - 4][::-1] for t in range(t_min, t_max + 1))

@@ -25,7 +25,7 @@ from instanton3.chern import (
     twist,
     validate_parity,
 )
-from instanton3.chowring import ChowClass, degree, exp_line, mul, todd_p3
+from instanton3.chowring import ChowClass, exp_line, mul, todd_p3
 from instanton3.curvelink import CurveInvariants, chi_curve_form
 from instanton3.errors import DomainError, NonIntegralChernClass, NonIntegralChi, RankUnsupported
 
@@ -221,7 +221,7 @@ def test_chi_numerators_are_the_chi_cubic_in_lowest_terms(d):
 @example(ChernData(3, 0, 10 ** 30, 1), -100)
 @example(ChernData(2, 3, -(10 ** 20), 5), 7)
 def test_ring_route_matches_the_two_product_formula(d, m):
-    chi = degree(mul(mul(chern_character(d), exp_line(m)), todd_p3()))
+    chi = mul(mul(chern_character(d), exp_line(m)), todd_p3()).a3
     if chi.denominator == 1:
         assert euler_characteristic(d, m) == chi
     else:
@@ -234,7 +234,7 @@ def test_ring_route_matches_the_two_product_formula(d, m):
 @example(ChernData(3, 0, 10 ** 30, 0), [-100, 0, 100])
 @example(ChernData(3, 0, 10 ** 30, 1), [7, -100])
 def test_chi_values_match_euler_characteristic_and_the_two_product_route(d, ms):
-    ring = [degree(mul(mul(chern_character(d), exp_line(m)), todd_p3())) for m in ms]
+    ring = [mul(mul(chern_character(d), exp_line(m)), todd_p3()).a3 for m in ms]
     bad = [m for m, chi in zip(ms, ring) if chi.denominator != 1]
     if not bad:
         assert chi_values(d, ms) == ring == [euler_characteristic(d, m) for m in ms]
@@ -264,10 +264,27 @@ def test_chi_polynomial_of_charge2_type():
     assert p(1) == 6 and p(-2) == 0
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (1.5, "m must be integers, got (1.5,)"),
+        ("x", "m must be integers, got ('x',)"),
+        (None, "m must be integers, got (None,)"),
+        (Fraction(1, 2), "m must be integers, got (Fraction(1, 2),)"),
+        (101, "m = 101 is out of range; |m| must be at most 100"),
+    ],
+    ids=["float", "word", "none", "half", "past-max-twist"],
+)
+def test_chi_polynomial_call_takes_twists_as_chi_values_does(m, message):
+    with pytest.raises(DomainError) as info:
+        chi_polynomial(CHARGE2)(m)
+    assert str(info.value) == message
+
+
 @given(chern_data, twists)
 def test_chi_polynomial_matches_ring_route(d, m):
     # Compared at the Fraction level so non-integral cases still cross-check.
-    ring = degree(mul(mul(chern_character(d), exp_line(m)), todd_p3()))
+    ring = mul(mul(chern_character(d), exp_line(m)), todd_p3()).a3
     assert chi_polynomial(d)(m) == ring
 
 

@@ -21,8 +21,8 @@ from test_verify import REPORT_DIGESTS
 
 import instanton3
 from instanton3 import chern, cli, errors
-from instanton3.chern import ChernData, ChiPolynomial, chern_from_character, chi_values, euler_characteristic, twist
-from instanton3.chowring import ONE, ChowClass, mul
+from instanton3.chern import ChernData, ChiPolynomial, chern_from_character, chi_polynomial, chi_values, euler_characteristic, twist
+from instanton3.chowring import ChowClass, mul
 from instanton3.cohomtable import CohomTable, MonadType, monad_chern, natural_table, serre_symmetry_check
 from instanton3.cubics import CubicSignAnalysis
 from instanton3.curvelink import (
@@ -39,6 +39,8 @@ from instanton3.errors import DomainError, NonIntegralChernClass, ToolkitError
 from instanton3.moduli import DerivationStep, ModuliReport
 from instanton3.spectrum import Spectrum, enumerate_spectra, h1_from_spectrum, h2_from_spectrum, is_instanton_spectrum
 from instanton3.verify import Claim, ClaimResult
+
+ONE = ChowClass(1, 0, 0, 0)
 
 CHARGE2_TABLE = "\n".join(
     [
@@ -265,6 +267,7 @@ SIZE_PROBES = {
     "euler_characteristic m": lambda x: euler_characteristic(_CHARGE2, x),
     "chi_values m": lambda x: chi_values(_CHARGE2, [0, x, 0.5]),
     "twist k": lambda x: twist(_CHARGE2, x),
+    "ChiPolynomial m": lambda x: chi_polynomial(_CHARGE2)(x),
     "chi_ideal_sheaf t": lambda x: chi_ideal_sheaf(_QUINTIC, x),
     "h1_from_spectrum l": lambda x: h1_from_spectrum(_ZERO_PAIR, x),
     "h2_from_spectrum l": lambda x: h2_from_spectrum(_ZERO_PAIR, x),

@@ -6,6 +6,9 @@ attribute) or from another top-level statement of its own module.  The one
 exemption is ``cubics.py``, the Sturm oracle that only the tests import (see
 README "Layout"); its own references do not count either.  The check reads
 the source with ``ast``; it imports the package only to find its directory.
+
+Nor does the package hold an ``assert`` statement: ``python -O`` strips
+them, so an invariant is enforced by a raise.
 """
 
 import ast
@@ -57,3 +60,23 @@ def test_the_rule_sees_an_orphan(tmp_path):
     (tmp_path / "b.py").write_text("from .a import used\n\n\nclass Lone:\n    def unused(self):\n        pass\n")
     (tmp_path / "cubics.py").write_text("from .a import unused\n\n\ndef oracle():\n    pass\n")
     assert unreferenced_definitions(tmp_path) == ["a.unused", "b.Lone"]
+
+
+def assert_statements(package_dir: Path) -> list[str]:
+    """``module:line`` of every ``assert`` statement in the package."""
+    return [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(package_dir.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_the_package_enforces_no_invariant_by_assert():
+    assert assert_statements(Path(instanton3.__file__).parent) == []
+
+
+def test_the_assert_rule_sees_one(tmp_path):
+    (tmp_path / "a.py").write_text("def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n")
+    (tmp_path / "b.py").write_text("def g(x):\n    if not x:\n        raise ValueError('empty')\n")
+    assert assert_statements(tmp_path) == ["a:3"]

@@ -108,5 +108,5 @@ def test_input_bounds_name_each_owner_the_size_probes_call():
     # One owner per rule: the "checked by" column lists exactly the functions
     # and types that the size probes of tests/test_cli.py drive with huge values.
     section = README.split("| input | bound | checked by |", 1)[1].split("\n\n", 1)[0]
-    column = {name for row in section.splitlines()[1:] for name in re.findall(r"`(\w+)`", row.rsplit("|", 2)[1])}
+    column = {name for row in section.splitlines()[1:] for name in re.findall(r"`(\w+)(?:\.\w+)?`", row.rsplit("|", 2)[1])}
     assert column == {key.split()[0] for key in SIZE_PROBES}

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit, the input checks that raise one, and the frozen-record base."""
 
+from operator import attrgetter
+
 
 class ToolkitError(Exception):
     """Base class for every domain error this package raises."""
@@ -48,20 +50,31 @@ class MissingHypothesis(ToolkitError):
     """A conclusion was requested without asserting a hypothesis it depends on."""
 
 
+# Record setters by arity, each a closure over the field names making one object.__setattr__ per field, chained
+# by ``or`` (each returns None): CPython's compact instance layout stays, where a vars(self) dict slows field reads.
+_store = object.__setattr__
+_SETTERS = {
+    1: lambda a: lambda s, x: _store(s, a, x),
+    2: lambda a, b: lambda s, x, y: _store(s, a, x) or _store(s, b, y),
+    3: lambda a, b, c: lambda s, x, y, z: _store(s, a, x) or _store(s, b, y) or _store(s, c, z),
+    4: lambda a, b, c, d: lambda s, w, x, y, z: _store(s, a, w) or _store(s, b, x) or _store(s, c, y) or _store(s, d, z),
+    6: lambda a, b, c, d, e, f: lambda s, u, v, w, x, y, z: (
+        _store(s, a, u) or _store(s, b, v) or _store(s, c, w) or _store(s, d, x) or _store(s, e, y) or _store(s, f, z)
+    ),
+}
+
+
 class Record:
     """A frozen value whose fields are its ``__init__`` parameters, in order, stored once by ``_set``."""
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__  # the code object, not inspect.signature: the CLI path must not load inspect
-        cls._fields = code.co_varnames[1:code.co_argcount]
-
-    def _set(self, *values) -> None:
-        # object.__setattr__ keeps CPython's compact instance layout; a vars(self) dict slows every field read.
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        cls._fields = names = code.co_varnames[1:code.co_argcount]
+        if len(names) not in _SETTERS:
+            raise TypeError(f"{cls.__name__} has {len(names)} fields; a record takes {', '.join(map(str, _SETTERS))}")
+        cls._set = _SETTERS[len(names)](*names)
+        get = attrgetter(*names)  # not a method: wrapped, and one field still gives a 1-tuple
+        cls._values = (lambda self: (get(self),)) if len(names) == 1 else (lambda self: get(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

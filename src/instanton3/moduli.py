@@ -38,6 +38,8 @@ class ModuliReport(Record):
         chi_end, ext_diff = _integers((chi_end, ext_diff), "chi(End F) and the Ext difference")
         if dimension is not None:
             (dimension,) = _integers((dimension,), "the reported dimension")
+        if type(hypotheses) is not tuple or not all(map(("stable", "ext2_vanishes").__contains__, hypotheses)):
+            raise DomainError("hypotheses must be a tuple whose entries are each 'stable' or 'ext2_vanishes'")
         if "stable" in hypotheses and ext_diff != 1 - chi_end:
             raise DomainError("under stability the Ext difference must be 1 - chi(End)")
         if (dimension is not None) != ("ext2_vanishes" in hypotheses):

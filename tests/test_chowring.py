@@ -164,6 +164,11 @@ def test_record_is_hashable_and_frozen(make, names, shown):
     x, copy = make(), make()
     assert x == copy and hash(x) == hash(copy)
     values = tuple(getattr(x, name) for name in names)
+    # Each type's own _set and _values keep the field order, and a one-field
+    # record still gives a 1-tuple, so every hash is the hash of the field
+    # tuple (CohomTable hashes its rows sorted, since a dict has no hash).
+    assert x._values() == values and list(vars(x)) == list(names)
+    assert type(x) is CohomTable or hash(x) == hash(values)
     other = type("Other", (type(x),), {})(*values)
     assert x != values and values != x
     assert x != other and other != x
@@ -186,6 +191,13 @@ def test_record_fields_are_the_init_parameters_of_exactly_these_eleven_types():
 
     package = {cls: cls._fields for cls in subclasses(Record) if cls.__module__.startswith("instanton3.")}
     assert package == {type(make()): names for make, names, _ in RECORDS}
+
+
+def test_a_record_arity_without_a_setter_is_refused_when_the_class_is_defined():
+    with pytest.raises(TypeError, match="Five has 5 fields"):
+        class Five(Record):
+            def __init__(self, a, b, c, d, e):
+                self._set(a, b, c, d, e)
 
 
 def test_records_take_keywords_and_claim_result_error_defaults_to_none():

@@ -1,13 +1,23 @@
 """Natural-cohomology tables: the index walk, monads, and Serre symmetry."""
 
+import functools
 import math
+from bisect import bisect_left, bisect_right
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from instanton3 import cohomtable
-from instanton3.chern import ChernData, chern_character, chi_polynomial, chi_values, euler_characteristic, validate_parity
+from instanton3.chern import (
+    ChernData,
+    chern_character,
+    chi_polynomial,
+    chi_values,
+    dual,
+    euler_characteristic,
+    validate_parity,
+)
 from instanton3.chowring import exp_line, mul, todd_p3
 from instanton3.cohomtable import (
     CohomTable,
@@ -333,6 +343,100 @@ def test_rows_on_the_critical_point_brackets():
         -1: (0, 1, 0, 0),
         0: (1, 0, 0, 0),
     }
+
+
+# Boundary classes: where two roots of chi nearly meet at a critical point,
+# so the brackets lo and hi have no slack and an off-by-one shows.
+
+
+@functools.cache
+def natural_c3_ends(c1, c2):
+    """The least and greatest c3 at which chi of (3, c1, c2, c3) has three simple real roots, or None.
+
+    6*chi has integer coefficients (the transcribed cubic, not the ring
+    route), and c3 shifts 6*chi by 3*c3, so the discriminant is a concave
+    quadratic in c3 and is positive on one interval.  Its vertex comes from
+    three exact values; each end comes from integer bisection on the sign.
+    """
+    n0, n1, n2, n3 = (int(6 * c) for c in chi_polynomial(ChernData(3, c1, c2, 0)).coeffs)
+
+    def disc(c3):
+        m0 = n0 + 3 * c3
+        return 18 * n3 * n2 * n1 * m0 - 4 * n2 ** 3 * m0 + n2 * n2 * n1 * n1 - 4 * n3 * n1 ** 3 - 27 * n3 * n3 * m0 * m0
+
+    q_minus, q_zero, q_plus = map(disc, (-1, 0, 1))
+    vertex = (q_minus - q_plus) // (2 * (q_plus + q_minus - 2 * q_zero))
+    inside = next((c3 for c3 in (vertex, vertex + 1) if disc(c3) > 0), None)
+    if inside is None:
+        return None
+
+    def last_positive(inside, step):
+        outside = inside + step
+        while disc(outside) > 0:
+            inside, outside = outside, outside + 2 * (outside - inside)
+        while abs(outside - inside) > 1:
+            middle = (inside + outside) // 2
+            inside, outside = (middle, outside) if disc(middle) > 0 else (inside, middle)
+        return inside
+
+    return last_positive(inside, -1), last_positive(inside, 1)
+
+
+@st.composite
+def boundary_classes(draw):
+    """Rank 3, c1 in {-1, 0, 1}, c3 one parity step outside an end of the natural interval up to three inside it."""
+    c1 = draw(st.sampled_from((-1, 0, 1)))
+    c2 = draw(st.integers(min_value=1, max_value=2000))
+    ends = natural_c3_ends(c1, c2)
+    assume(ends is not None)
+    end, inward = draw(st.sampled_from(((ends[0], 1), (ends[1], -1))))
+    innermost = end + inward * ((end - c1 * c2) % 2)  # the natural c3 of the right parity nearest the end
+    return ChernData(3, c1, c2, innermost + 2 * inward * draw(st.integers(min_value=-1, max_value=2)))
+
+
+def sturm_rows(d):
+    """Every row over -100..100 with its index from the Sturm oracle, or None when chi has under three sign changes.
+
+    odd_roots_below only grows with t, so bisection finds the first twist
+    past each root; chi itself comes from chi_values.
+    """
+    analysis = CubicSignAnalysis(chi_polynomial(d).coeffs)
+    if analysis.sign_changes < 3:
+        return None
+    twists = range(-MAX_TWIST, MAX_TWIST + 1)
+    past = [bisect_left(twists, k, key=analysis.odd_roots_below) for k in (1, 2, 3)]
+    rows = {}
+    for i, (t, chi) in enumerate(zip(twists, chi_values(d, twists))):
+        row, index = [0, 0, 0, 0], 3 - bisect_right(past, i)
+        row[index] = chi if index % 2 == 0 else -chi
+        rows[t] = tuple(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_classes())
+def test_kernel_matches_the_sturm_oracle_on_boundary_classes(d):
+    try:
+        rows = natural_table(d, -MAX_TWIST, MAX_TWIST).rows
+    except NotNaturalizable:
+        rows = None
+    assert rows == sturm_rows(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_classes())
+def test_serre_mirror_on_boundary_classes(d):
+    # h^i(F(t)) = h^(3-i)(F-dual(-t-4)): the lo bracket of F answers for the
+    # hi bracket of its dual, so the two tables check each other.
+    window = (-MAX_TWIST, MAX_TWIST - 4)
+    try:
+        rows = natural_table(d, *window).rows
+    except NotNaturalizable:
+        with pytest.raises(NotNaturalizable):
+            natural_table(dual(d), *window)
+        return
+    mirror = natural_table(dual(d), *window).rows
+    assert all(rows[t] == mirror[-t - 4][::-1] for t in rows)
 
 
 @given(wide_windows())

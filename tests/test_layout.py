@@ -9,6 +9,10 @@ the source with ``ast``; it imports the package only to find its directory.
 
 Nor does the package hold an ``assert`` statement: ``python -O`` strips
 them, so an invariant is enforced by a raise.
+
+And records have one store: no class but ``errors.Record`` defines how
+fields are set, read back, compared or guarded, so a hot record cannot
+grow a second, hand-written copy of its field names.
 """
 
 import ast
@@ -80,3 +84,40 @@ def test_the_assert_rule_sees_one(tmp_path):
     (tmp_path / "a.py").write_text("def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n")
     (tmp_path / "b.py").write_text("def g(x):\n    if not x:\n        raise ValueError('empty')\n")
     assert assert_statements(tmp_path) == ["a:3"]
+
+
+#: What only errors.Record may define; a record may still define __hash__ (CohomTable does).
+RECORD_STORE = {"_set", "_values", "__eq__", "__setattr__", "__delattr__"}
+
+
+def second_stores(package_dir: Path) -> list[str]:
+    """``module.Class.name`` of every method or class attribute in RECORD_STORE outside ``errors.Record``."""
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef) or (path.stem, node.name) == ("errors", "Record"):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [stmt.name]
+                else:
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                found += [f"{path.stem}.{node.name}.{name}" for name in names if name in RECORD_STORE]
+    return found
+
+
+def test_only_record_stores_compares_and_guards_fields():
+    assert second_stores(Path(instanton3.__file__).parent) == []
+
+
+def test_the_store_rule_sees_an_override(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class Record:\n    def _set(self, *v):\n        pass\n\n    def __eq__(self, other):\n        return True\n"
+    )
+    (tmp_path / "a.py").write_text(
+        "from .errors import Record\n\n\nclass Point(Record):\n    def __init__(self, x, y):\n        self._set(x, y)\n\n"
+        "    def _set(self, x, y):\n        object.__setattr__(self, 'x', x)\n\n    def __hash__(self):\n        return 0\n"
+    )
+    (tmp_path / "b.py").write_text("class Pair:\n    __eq__ = tuple.__eq__\n    _values: object = None\n    label = 'pair'\n")
+    assert second_stores(tmp_path) == ["a.Point._set", "b.Pair.__eq__", "b.Pair._values"]

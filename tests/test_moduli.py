@@ -87,6 +87,19 @@ def test_report_invariants_are_enforced():
         )
 
 
+@pytest.mark.parametrize(
+    "hypotheses, ext_diff, dimension",
+    [("unstable", 17, None), ("stable ext2_vanishes", 16, 16), (("stable", 1), 16, None), (["stable"], 16, None)],
+    ids=["unstable-string", "joined-string", "non-string-entry", "list"],
+)
+def test_report_refuses_hypotheses_that_are_not_a_tuple_of_the_two_names(hypotheses, ext_diff, dimension):
+    # A substring test read "stable" inside "unstable" and demanded the
+    # stability identity of a report that asserts none; a joined string
+    # built, and its JSON showed a string, not a list.
+    with pytest.raises(DomainError, match="^hypotheses must be a tuple whose entries are each 'stable' or 'ext2_vanishes'$"):
+        ModuliReport(CHARGE2, -15, ext_diff, hypotheses, dimension, ())
+
+
 @pytest.mark.parametrize("dimension", [16.0, Fraction(16)])
 def test_report_stores_an_integer_valued_dimension_as_an_int(dimension):
     report = ModuliReport(CHARGE2, -15, 16, ("stable", "ext2_vanishes"), dimension, ())

@@ -15,7 +15,6 @@ from .cohomtable import CohomTable, natural_table
 from .errors import (
     ConsistencyError,
     DomainError,
-    MissingHypothesis,
     MissingRows,
     NonIntegralChernClass,
     NonIntegralChi,

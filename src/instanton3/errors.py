@@ -46,10 +46,6 @@ class ConsistencyError(ToolkitError):
     """Two independent routes to the same quantity disagree, so a transcription is corrupted."""
 
 
-class MissingHypothesis(ToolkitError):
-    """A conclusion was requested without asserting a hypothesis it depends on."""
-
-
 # Record setters by arity, each a closure over the field names making one object.__setattr__ per field, chained
 # by ``or`` (each returns None): CPython's compact instance layout stays, where a vars(self) dict slows field reads.
 _store = object.__setattr__

@@ -444,7 +444,7 @@ def all_claims() -> tuple[Claim, ...]:
             "smooth-point-dimension-charge2",
             "under stability and Ext^2 = 0 the charge-2 moduli dimension is 16",
             16,
-            lambda: smooth_dimension(CHARGE2, stable=True, ext2_vanishes=True).dimension,
+            lambda: smooth_dimension(CHARGE2).dimension,
         ),
         Claim(
             "dimension-chain-charge2",

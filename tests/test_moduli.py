@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from instanton3 import moduli
 from instanton3.chern import ChernData, _jsonable, chi_endomorphisms
-from instanton3.errors import ConsistencyError, DomainError, MissingHypothesis, RankUnsupported
+from instanton3.errors import ConsistencyError, DomainError, RankUnsupported
 from instanton3.moduli import (
     DerivationStep,
     ModuliReport,
@@ -33,9 +33,14 @@ def test_ext_difference_pinned_values():
     assert ext_difference(ChernData(3, 0, 5, 0)) == 52
 
 
+#: The rank rule of the moduli layer is chi_endomorphisms's own.
+OTHER_RANK = "^endomorphism chi through the Chow ring needs rank 3, got {}$"
+
+
 def test_ext_difference_rejects_other_ranks():
-    with pytest.raises(RankUnsupported):
-        ext_difference(ChernData(2, 0, 2, 0))
+    for rank in (2, 4):
+        with pytest.raises(RankUnsupported, match=OTHER_RANK.format(rank)):
+            ext_difference(ChernData(rank, 0, 2, 0))
 
 
 @given(rank3_data)
@@ -48,19 +53,14 @@ def test_ext_difference_along_the_charge_family(n):
     assert ext_difference(ChernData(3, 0, n, 0)) == 12 * n - 8
 
 
-def test_smooth_dimension_requires_both_hypotheses():
-    with pytest.raises(MissingHypothesis, match="stability"):
-        smooth_dimension(CHARGE2)
-    with pytest.raises(MissingHypothesis, match="stability"):
-        smooth_dimension(CHARGE2, ext2_vanishes=True)
-    with pytest.raises(MissingHypothesis, match="Ext\\^2"):
-        smooth_dimension(CHARGE2, stable=True)
-    with pytest.raises(RankUnsupported):
-        smooth_dimension(ChernData(2, 0, 2, 0), stable=True, ext2_vanishes=True)
+def test_smooth_dimension_rejects_other_ranks():
+    for rank in (2, 4):
+        with pytest.raises(RankUnsupported, match=OTHER_RANK.format(rank)):
+            smooth_dimension(ChernData(rank, 0, 2, 0))
 
 
 def test_smooth_dimension_report():
-    report = smooth_dimension(CHARGE2, stable=True, ext2_vanishes=True)
+    report = smooth_dimension(CHARGE2)
     assert report.dimension == 16
     assert report.chi_end == -15
     assert report.ext_diff == 16
@@ -71,7 +71,7 @@ def test_smooth_dimension_report():
 
 @given(st.integers(min_value=2, max_value=8))
 def test_smooth_dimension_along_the_charge_family(n):
-    report = smooth_dimension(ChernData(3, 0, n, 0), stable=True, ext2_vanishes=True)
+    report = smooth_dimension(ChernData(3, 0, n, 0))
     assert report.dimension == 12 * n - 8
 
 
@@ -114,6 +114,23 @@ def test_report_refuses_a_dimension_that_is_not_an_integer(dimension):
         ModuliReport(CHARGE2, -15, 16, ("stable", "ext2_vanishes"), dimension, ())
 
 
+def test_report_refuses_a_chern_field_that_is_not_chern_data():
+    # It built, and the JSON rendered the string where [rank, c1, c2, c3] belongs.
+    with pytest.raises(DomainError, match="^chern must be a ChernData$"):
+        ModuliReport("not a class", -15, 16, ("stable",), None, ())
+
+
+@pytest.mark.parametrize(
+    "derivation",
+    [[DerivationStep("chi(End F)", -15, "RR")], (1, "x")],
+    ids=["list", "non-step-entries"],
+)
+def test_report_refuses_a_derivation_that_is_not_a_tuple_of_steps(derivation):
+    # A list built a report whose hash() raised TypeError; (1, "x") rendered as [1, "x"].
+    with pytest.raises(DomainError, match="^derivation must be a tuple of DerivationStep$"):
+        ModuliReport(CHARGE2, -15, 16, ("stable",), None, derivation)
+
+
 def test_charge2_chain_reaches_sixteen():
     report = charge2_dimension_chain()
     assert report.dimension == 16
@@ -149,7 +166,7 @@ REPORT_PAYLOADS = {
             ("dim of the charge-2 family", 16, "pair space minus fiber"),
         ),
     }),
-    "charge5 smooth point": (lambda: smooth_dimension(ChernData(3, 0, 5, 0), stable=True, ext2_vanishes=True), {
+    "charge5 smooth point": (lambda: smooth_dimension(ChernData(3, 0, 5, 0)), {
         "chern": [3, 0, 5, 0],
         "chi_end": -51,
         "ext_diff": 52,
